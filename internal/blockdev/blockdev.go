@@ -140,8 +140,7 @@ type Driver interface {
 	Submit(p *sim.Proc, r *Request)
 }
 
-// RequestStat records one dispatched request for profiling (Figure 6)
-// and trace capture (traceio).
+// RequestStat records one dispatched request for profiling (Figure 6).
 type RequestStat struct {
 	At     sim.Time
 	Sector int64

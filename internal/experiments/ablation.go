@@ -45,7 +45,7 @@ func AblationRegistration(c Config) (*Result, error) {
 		mutate func(*hpbd.ClientConfig)
 	}{
 		{"pool-copy", nil},
-		{"register-fly", func(cc *hpbd.ClientConfig) { cc.RegisterOnTheFly = true }},
+		{"register-fly", func(cc *hpbd.ClientConfig) { cc.DataPath.Mode = hpbd.Register }},
 	}
 	for _, cs := range cases {
 		elapsed, _, err := measure(hpbdConfig(s, 1, cs.mutate), c.Seed, func(sys *vm.System, rnd *rand.Rand) runnable {

@@ -66,12 +66,12 @@ func AblationHybrid(c Config) (*Result, error) {
 	}
 	const reps = 16
 	for _, mode := range []struct {
-		label  string
-		hybrid bool
-	}{{"copy", false}, {"hybrid", true}} {
+		label string
+		mode  hpbd.DataPathMode
+	}{{"copy", hpbd.Copy}, {"hybrid", hpbd.Hybrid}} {
 		for _, size := range []int{4 << 10, 32 << 10, 64 << 10, 128 << 10} {
 			ccfg := hpbd.DefaultClientConfig()
-			ccfg.HybridDataPath = mode.hybrid
+			ccfg.DataPath.Mode = mode.mode
 			rig, err := newDatapathRig(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 1, 8<<20)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", res.ID, mode.label, err)
@@ -107,7 +107,7 @@ func AblationHybrid(c Config) (*Result, error) {
 				Label: fmt.Sprintf("%s/%dK", mode.label, size/1024),
 				Value: elapsed.Micros() / (2 * reps),
 			}
-			if mode.hybrid {
+			if mode.mode == hpbd.Hybrid {
 				row.Stat = fmt.Sprintf("large %d", st.HybridLarge)
 			}
 			res.Rows = append(res.Rows, row)
@@ -134,7 +134,6 @@ func AblationDoorbell(c Config) (*Result, error) {
 	)
 	for _, batch := range []int{1, 8} {
 		ibcfg := ib.DefaultConfig()
-		ibcfg.PerDoorbell = ibcfg.PerWQE
 		ccfg := hpbd.DefaultClientConfig()
 		ccfg.Credits = 8
 		ccfg.DoorbellBatch = batch
@@ -177,7 +176,7 @@ func AblationDoorbell(c Config) (*Result, error) {
 		for _, srv := range rig.servers {
 			doorbells += srv.Stats().Doorbells
 		}
-		overhead := sim.Duration(doorbells) * ibcfg.PerDoorbell
+		overhead := sim.Duration(doorbells) * ibcfg.PerWQE
 		res.Rows = append(res.Rows, Row{
 			Label: fmt.Sprintf("batch-%d", batch),
 			Value: overhead.Micros() / float64(st.PhysReqs),

@@ -169,13 +169,11 @@ func AblationCrossover(c Config) (*Result, error) {
 		size   = 64 << 10
 	)
 	for _, mode := range []struct {
-		label    string
-		adaptive bool
-	}{{"static", false}, {"adaptive", true}} {
+		label string
+		mode  hpbd.DataPathMode
+	}{{"static", hpbd.Hybrid}, {"adaptive", hpbd.Adaptive}} {
 		ccfg := hpbd.DefaultClientConfig()
-		ccfg.HybridDataPath = true
-		ccfg.AdaptiveCrossover = mode.adaptive
-		ccfg.CrossoverWindow = 8
+		ccfg.DataPath.Mode = mode.mode
 		rig, err := newDatapathRig(ib.DefaultConfig(), ccfg, hpbd.DefaultServerConfig, 1, 64<<20)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", res.ID, mode.label, err)

@@ -57,10 +57,7 @@ func runChaos(t *testing.T, withHealth bool) (*cluster.Node, *bytes.Buffer) {
 	ccfg := hpbd.DefaultClientConfig()
 	ccfg.PoolBytes = 256 << 10
 	ccfg.Credits = 8
-	ccfg.HybridDataPath = true
-	ccfg.HybridThresholdBytes = 32 << 10
-	ccfg.ODP = true
-	ccfg.MRCacheEntries = 6
+	ccfg.DataPath = hpbd.DataPath{Mode: hpbd.Hybrid, Threshold: 32 << 10, ODP: true}
 	ccfg.MaxRetries = 4
 	ccfg.RequestTimeout = 5 * sim.Millisecond
 	cfg := cluster.Config{

@@ -66,7 +66,9 @@ func TestStripedCoversWholeDevice(t *testing.T) {
 func TestRegisterOnTheFlySlowerButCorrect(t *testing.T) {
 	run := func(fly bool) (sim.Duration, []byte) {
 		ccfg := DefaultClientConfig()
-		ccfg.RegisterOnTheFly = fly
+		if fly {
+			ccfg.DataPath.Mode = Register
+		}
 		tb := newTestbed(t, 1, 4<<20, ccfg)
 		want := pattern(128*1024, 3)
 		var got []byte

@@ -267,7 +267,7 @@ func TestChaosTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ccfg := recoveryConfig()
 			if tc.hybrid {
-				ccfg.HybridDataPath = true
+				ccfg.DataPath.Mode = Hybrid
 			}
 			area := int64(tc.blocks*tc.blockBytes)/int64(tc.servers) + 1<<20
 			cb := newChaosBed(t, tc.servers, area, ccfg, tc.fallback, tc.spec)
@@ -401,5 +401,58 @@ func TestDefaultConfigStillFailStop(t *testing.T) {
 	}
 	if !cb.dev.Failed() {
 		t.Error("fail-stop device did not fail on server loss")
+	}
+}
+
+// TestCrashUnderCreditPressureSettles crashes the only server while 32
+// concurrent writes contend for 2 credits. Requests the watchdog flags
+// while still queued behind credits must be cancelled once sent, and a
+// request whose link dies during its credit stall must be re-routed
+// rather than posted to the closed QP. Either slip leaves requests
+// pending with their credits held, so the device deadlocks; RunUntil
+// bounds the run so a deadlock fails the test instead of hanging it.
+func TestCrashUnderCreditPressureSettles(t *testing.T) {
+	const writes = 32
+	for _, batch := range []int{0, 4} {
+		for at := 100; at <= 1500; at += 25 {
+			t.Run(fmt.Sprintf("batch%d/crash%dus", batch, at), func(t *testing.T) {
+				ccfg := recoveryConfig()
+				ccfg.Credits = 2
+				ccfg.DoorbellBatch = batch
+				cb := newChaosBed(t, 1, 1<<20, ccfg, true, fmt.Sprintf("crash@%dus=mem0", at))
+				done := 0
+				cb.env.Go("test", func(p *sim.Proc) {
+					ios := make([]*blockdev.IO, 0, writes)
+					for i := 0; i < writes; i++ {
+						// A two-page stride keeps the elevator from merging.
+						io, err := cb.queue.Submit(true, int64(i*16), pattern(4096, byte(i)))
+						if err != nil {
+							t.Errorf("submit %d: %v", i, err)
+							return
+						}
+						ios = append(ios, io)
+					}
+					cb.queue.Unplug()
+					for i, io := range ios {
+						if err := io.Wait(p); err != nil {
+							t.Errorf("write %d: %v", i, err)
+						}
+						done++
+					}
+				})
+				cb.env.RunUntil(sim.Time(sim.Second))
+				cb.env.Close()
+				if done != writes {
+					t.Fatalf("%d of %d writes settled: the device deadlocked", done, writes)
+				}
+				if n := len(cb.dev.pending); n != 0 {
+					t.Errorf("%d requests still pending", n)
+				}
+				if got := cb.dev.links[0].credits.Available(); got != ccfg.Credits {
+					t.Errorf("link credits = %d after the run, want %d", got, ccfg.Credits)
+				}
+				assertExactPartition(t, cb.dev)
+			})
+		}
 	}
 }

@@ -43,17 +43,9 @@ type ClientConfig struct {
 	// gives the device a private registry so Stats() always works.
 	Telemetry *telemetry.Registry
 
-	// HybridDataPath enables the adaptive copy/register data path:
-	// requests of HybridThresholdBytes or more skip the pool and register
-	// their payload on the fly through an MR reuse cache, while smaller
-	// requests keep the paper's copy-into-pool path. Off by default (the
-	// paper copies always).
-	HybridDataPath bool
-	// HybridThresholdBytes is the hybrid cutover size; zero means the
-	// netmodel Fig. 3 crossover (~127 KB).
-	HybridThresholdBytes int
-	// MRCacheEntries bounds the hybrid path's MR reuse cache (zero: 8).
-	MRCacheEntries int
+	// DataPath selects how request payloads reach the wire. The zero value
+	// is the paper's copy-into-pool path.
+	DataPath DataPath
 	// DoorbellBatch, when > 1, makes the sender drain up to this many
 	// queued requests and post each server's share as one chained work
 	// request list (a single doorbell charge instead of per-WQE). Values
@@ -61,13 +53,6 @@ type ClientConfig struct {
 	// would wait on replies it has not posted. <= 1 keeps the paper's
 	// one-post-per-request behavior.
 	DoorbellBatch int
-	// ODP switches the large-request MR path from pinned registrations to
-	// on-demand-paging regions (ib.RegisterODP): registration is ~free and
-	// the first WR through each page window pays a fault instead, so a
-	// cold buffer costs less than a pinned registration and a warm one
-	// costs nothing. Takes effect when the device has an MR path (
-	// HybridDataPath or MergeWindow); off by default.
-	ODP bool
 	// MergeWindow, when > 1, makes the sender coalesce up to this many
 	// sector-contiguous same-server queued requests into one large work
 	// request (RDMAbox's merged I/O) before credit accounting and doorbell
@@ -79,17 +64,6 @@ type ClientConfig struct {
 	// block-layer bound). It must not exceed the servers' StagingBytes —
 	// a merged WR is one server op against one staging buffer.
 	MergeBytes int
-	// AdaptiveCrossover replaces the static hybrid threshold with a
-	// feedback controller: every CrossoverWindow completed requests it
-	// re-derives the copy/register crossover from the observed MR-cache
-	// reuse rate and nudges the threshold toward it, stepping further
-	// down when pool-wait time dominates the per-stage breakdown.
-	// Requires HybridDataPath and the request-lifecycle analyzer
-	// (FlightRecEntries >= 0). Off by default.
-	AdaptiveCrossover bool
-	// CrossoverWindow is the controller's observation window in completed
-	// requests (zero: 64).
-	CrossoverWindow int
 
 	// FlightRecEntries sizes the always-on flight recorder ring of recent
 	// request records (zero-alloc in steady state). 0 selects the default
@@ -151,10 +125,6 @@ type ClientConfig struct {
 	// The remaining fields flip the paper's design choices for ablation
 	// studies; all default to the paper's design (false/zero).
 
-	// RegisterOnTheFly pays per-request registration/deregistration
-	// instead of copying into the pre-registered pool (the alternative
-	// §4.1 rejects using Figure 3).
-	RegisterOnTheFly bool
 	// PollingReceiver makes the receiver busy-poll the CQ instead of
 	// sleeping on solicited completion events.
 	PollingReceiver bool
@@ -162,10 +132,46 @@ type ClientConfig struct {
 	// round-robin chunks instead of the paper's blocked distribution
 	// (§4.2.5 argues striping does not pay at a 128 KB request bound).
 	StripeBytes int64
-	// FirstFitPool selects the paper's original first-fit free-list
-	// allocator instead of the size-classed default (ablation baseline).
-	FirstFitPool bool
 }
+
+// DataPathMode is the policy that decides whether a request's payload is
+// copied through the pre-registered pool or registered in place.
+type DataPathMode int
+
+const (
+	// Copy stages every request through the pre-registered pool: one
+	// memcpy per request, never a registration (the paper's design).
+	Copy DataPathMode = iota
+	// Register pays a per-request registration and deregistration instead
+	// of the copy (the alternative §4.1 rejects using Figure 3).
+	Register
+	// Hybrid copies requests below DataPath.Threshold and sends the rest
+	// from MRs kept registered by a reuse cache.
+	Hybrid
+	// Adaptive is Hybrid with a feedback controller that moves the
+	// threshold toward the copy/register crossover implied by the
+	// measured MR-cache reuse, stepping further down when pool-wait time
+	// dominates. It needs the request-lifecycle analyzer
+	// (FlightRecEntries >= 0); without it the threshold stays static.
+	Adaptive
+)
+
+// DataPath is the client's data-path policy.
+type DataPath struct {
+	Mode DataPathMode
+	// Threshold is the Hybrid/Adaptive cutover in bytes: requests at or
+	// above it take the MR path. Zero means netmodel.Fig3CrossoverBytes
+	// (~127 KB).
+	Threshold int
+	// ODP backs the MR path (Hybrid/Adaptive singles and merge carriers)
+	// with on-demand-paging regions (ib.RegisterODP) instead of pinned
+	// registrations: registration is ~free and the first WR through each
+	// page window pays a fault instead.
+	ODP bool
+}
+
+// mrCacheEntries bounds the MR path's reuse cache.
+const mrCacheEntries = 8
 
 // DefaultClientConfig returns the paper's client configuration.
 func DefaultClientConfig() ClientConfig {
@@ -292,7 +298,7 @@ type serverLink struct {
 type parentReq struct {
 	req     *blockdev.Request
 	readBuf []byte // gather buffer for reads
-	wdata   []byte // write payload, held while staging is merge-deferred
+	wdata   []byte // write payload, read when each piece is staged
 	remain  int
 	err     error
 }
@@ -312,7 +318,7 @@ type phys struct {
 	devByte int64 // absolute device byte offset (fallback addressing)
 	attempt int   // recovery re-sends already performed
 
-	lazy bool // staging deferred to the sender's merge window
+	lazy bool // payload not staged yet (pool or MR); merging defers it to the sender
 	// subs marks a merge carrier: the sector-contiguous requests riding
 	// this WR, in device order. A carrier has no parent of its own —
 	// completion (success or any error path) fans out to the subs, each
@@ -351,8 +357,13 @@ type Device struct {
 	total   int64
 	sendQ   *sim.Chan[*phys]
 	pending map[uint64]*phys
-	nextH   uint64
-	sleepQ  *sim.WaitQueue
+	// Buffers the sender reuses: the drained batch and one link's chain,
+	// reused so the issue path allocates nothing per request.
+	batch  []*phys
+	wrs    []ib.SendWR
+	items  []*phys
+	nextH  uint64
+	sleepQ *sim.WaitQueue
 	// wdQ parks the watchdog while no requests are in flight.
 	wdQ *sim.WaitQueue
 	// reclaimQ parks the tenancy reclaimer until a quota refusal kicks it
@@ -369,7 +380,7 @@ type Device struct {
 	fbHeld    map[int64]bool // sectors whose authoritative copy is on Fallback
 
 	hybridThr     int      // requests >= this register on the fly (0: hybrid off)
-	mrc           *mrCache // nil unless HybridDataPath or MergeWindow
+	mrc           *mrCache // nil unless a Hybrid/Adaptive DataPath or MergeWindow
 	doorbellBatch int      // effective batch limit (clamped to Credits)
 	mergeWin      int      // sender merge window in requests (<= 1: off)
 	mergeBytes    int      // merged WR payload cap
@@ -396,10 +407,6 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 	if tel == nil {
 		tel = telemetry.New(env)
 	}
-	pool := NewBufferPool(env, cfg.PoolBytes)
-	if cfg.FirstFitPool {
-		pool = NewFirstFitPool(env, cfg.PoolBytes)
-	}
 	d := &Device{
 		tel:     tel,
 		met:     newDeviceMetrics(tel),
@@ -410,7 +417,7 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 		mem:     f.Config().Mem,
 		hca:     hca,
 		cq:      hca.CreateCQ(name + "-cq"),
-		pool:    pool,
+		pool:    NewBufferPool(env, cfg.PoolBytes),
 		byQP:    make(map[*ib.QP]*serverLink),
 		sendQ:   sim.NewChan[*phys](env, 0),
 		pending: make(map[uint64]*phys),
@@ -430,16 +437,12 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 			d.fbHeld = make(map[int64]bool)
 		}
 	}
-	if cfg.HybridDataPath {
-		d.hybridThr = cfg.HybridThresholdBytes
+	if m := cfg.DataPath.Mode; m == Hybrid || m == Adaptive {
+		d.hybridThr = cfg.DataPath.Threshold
 		if d.hybridThr <= 0 {
 			d.hybridThr = netmodel.Fig3CrossoverBytes
 		}
-		entries := cfg.MRCacheEntries
-		if entries <= 0 {
-			entries = 8
-		}
-		d.mrc = newMRCache(hca, entries, tel)
+		d.mrc = newMRCache(hca, mrCacheEntries, tel)
 	}
 	if cfg.MergeWindow > 1 {
 		d.mergeWin = cfg.MergeWindow
@@ -448,23 +451,19 @@ func NewDevice(f *ib.Fabric, name string, cfg ClientConfig) *Device {
 			d.mergeBytes = blockdev.MaxRequestBytes
 		}
 		if d.mrc == nil {
-			// Merged WRs ride reuse-cached MRs even when the hybrid path
-			// is off; a threshold past any request size keeps unmerged
-			// singles on the paper's copy-into-pool path.
-			entries := cfg.MRCacheEntries
-			if entries <= 0 {
-				entries = 8
-			}
-			d.mrc = newMRCache(hca, entries, tel)
+			// Merged WRs ride reuse-cached MRs even without the hybrid
+			// path; a threshold past any request size keeps unmerged
+			// singles on the pool path.
+			d.mrc = newMRCache(hca, mrCacheEntries, tel)
 			d.hybridThr = int(^uint(0) >> 1)
 		}
 		d.mmet = newMergeMetrics(tel)
 	}
-	if cfg.ODP && d.mrc != nil {
-		d.mrc.odp = true
+	if d.mrc != nil {
+		d.mrc.odp = cfg.DataPath.ODP
 	}
-	if cfg.AdaptiveCrossover && cfg.HybridDataPath && cfg.FlightRecEntries >= 0 {
-		d.xover = newCrossoverCtrl(d, cfg.CrossoverWindow, tel)
+	if cfg.DataPath.Mode == Adaptive && cfg.FlightRecEntries >= 0 {
+		d.xover = newCrossoverCtrl(d, tel)
 	}
 	// The request-lifecycle analyzer and its flight recorder are always on
 	// (cheap: timestamp reads and a ring copy per request, never a sleep)
@@ -633,12 +632,8 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 		d.met.splits.Inc()
 	}
 	parent := &parentReq{req: r, remain: len(segs)}
-	var wdata []byte
 	if r.Write {
-		wdata = r.Data()
-		if d.mergeWin > 1 {
-			parent.wdata = wdata // staging is deferred to the merge window
-		}
+		parent.wdata = r.Data()
 	} else {
 		parent.readBuf = make([]byte, n)
 	}
@@ -651,19 +646,20 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			offset:   sg.Offset,
 			off:      sg.Off,
 			length:   sg.Length,
+			poolOff:  -1, // no payload held until staged
 			devByte:  sg.DevByte,
 			flowID:   r.ID(),
 			blkAt:    r.QueuedAt(),
 			submitAt: p.Now(),
+			lazy:     true,
 		}
 		if link.down {
 			// The server backing this range is gone: skip the pool and
 			// the wire entirely and degrade immediately (fallback driver
-			// or per-request error). poolOff -1 marks "no payload held".
-			ph.poolOff = -1
+			// or per-request error).
 			var data []byte
 			if r.Write {
-				data = wdata[sg.Off : sg.Off+sg.Length]
+				data = parent.wdata[sg.Off : sg.Off+sg.Length]
 			}
 			d.routeDegraded(ph, data)
 			continue
@@ -676,49 +672,15 @@ func (d *Device) Submit(p *sim.Proc, r *blockdev.Request) {
 			// write clears the hold. Swap I/O is page-granular, so a
 			// read either matches an absorbed write's range exactly or
 			// not at all — partial coverage does not arise.
-			ph.poolOff = -1
 			d.routeDegraded(ph, nil)
 			continue
 		}
-		if d.mergeWin > 1 {
-			// Merging defers staging to the sender: only there is it known
-			// whether this request rides its own WR (pool or MR path, via
-			// stageOne) or a merged carrier's MR. The parent holds the
-			// write payload until then.
-			ph.poolOff = -1
-			ph.lazy = true
-		} else if d.mrc != nil && sg.Length >= d.hybridThr {
-			// Hybrid fast path: at or above the Fig. 3 crossover the
-			// request skips the pool and the server RDMAs against a
-			// per-request MR from the reuse cache. A cache miss charges
-			// the registration cost here; a hit charges nothing — the
-			// payload pages are (in the modeled driver) registered in
-			// place, so no copy is charged either.
-			ph.mr = d.mrc.get(p, sg.Length)
-			ph.poolOff = -1
-			if r.Write {
-				copy(ph.mr.Buf[:sg.Length], wdata[sg.Off:sg.Off+sg.Length])
-			}
-			d.met.hybridLarge.Inc()
-		} else {
-			poolOff, err := d.pool.Alloc(p, sg.Length)
-			if err != nil {
-				d.finishPhys(&phys{parent: parent}, err)
+		// Merging defers staging to the sender: only there is it known
+		// whether this request rides its own WR or a merged carrier's MR.
+		if d.mergeWin <= 1 {
+			if err := d.stageOne(p, ph); err != nil {
+				d.finishPhys(ph, err)
 				continue
-			}
-			ph.poolOff = poolOff
-			if d.cfg.RegisterOnTheFly {
-				// Ablation: pay the registration cost the pool design avoids
-				// (the data still flows through pool space so the RDMA path
-				// is unchanged; only the cost model differs).
-				p.Sleep(d.mem.Register(sg.Length))
-				if r.Write {
-					copy(d.poolMR.Buf[poolOff:], wdata[sg.Off:sg.Off+sg.Length])
-				}
-			} else if r.Write {
-				// The copy that replaces on-the-fly registration (§4.2.2).
-				p.Sleep(d.mem.Memcpy(sg.Length))
-				copy(d.poolMR.Buf[poolOff:], wdata[sg.Off:sg.Off+sg.Length])
 			}
 		}
 		if m := d.mig; m != nil && r.Write && m.overlaps(sg.DevByte, sg.Length) {
@@ -753,7 +715,7 @@ func (d *Device) releasePayload(p *sim.Proc, ph *phys) {
 		return
 	}
 	if ph.poolOff < 0 {
-		return // merge-deferred staging never happened: nothing held
+		return // staging never happened: nothing held
 	}
 	d.pool.Free(ph.poolOff)
 }
@@ -794,24 +756,22 @@ func (d *Device) marshalReq(ph *phys) ib.Segment {
 
 // sender is the request-issuing thread: it forwards queued physical
 // requests as soon as flow-control credits permit (§4.2.3, §4.2.4). With
-// DoorbellBatch > 1 it drains whatever has queued behind the blocking
-// receive — a decision keyed on queue state at the current instant, never
-// on wall time — and posts each server's share as one chained list.
+// DoorbellBatch or MergeWindow > 1 it drains whatever has queued behind
+// the blocking receive — a decision keyed on queue state at the current
+// instant, never on wall time. Every post goes through sendChained: each
+// server's share as one chain when batching, otherwise one request at a
+// time, the paper's one post per request.
 func (d *Device) sender(p *sim.Proc) {
+	limit := d.doorbellBatch
+	if d.mergeWin > limit {
+		limit = d.mergeWin
+	}
 	for {
 		ph, ok := d.sendQ.Recv(p)
 		if !ok {
 			return
 		}
-		limit := d.doorbellBatch
-		if d.mergeWin > limit {
-			limit = d.mergeWin
-		}
-		if limit <= 1 {
-			d.sendOne(p, ph)
-			continue
-		}
-		batch := []*phys{ph}
+		batch := append(d.batch[:0], ph)
 		for len(batch) < limit {
 			next, ok2 := d.sendQ.TryRecv()
 			if !ok2 {
@@ -819,16 +779,17 @@ func (d *Device) sender(p *sim.Proc) {
 			}
 			batch = append(batch, next)
 		}
+		d.batch = batch
 		if d.mergeWin > 1 {
 			batch = d.mergeBatch(p, batch)
 		}
-		if d.doorbellBatch <= 1 {
-			for _, mph := range batch {
-				d.sendOne(p, mph)
-			}
+		if d.doorbellBatch > 1 {
+			d.sendChained(p, batch)
 			continue
 		}
-		d.sendChained(p, batch)
+		for i := range batch {
+			d.sendChained(p, batch[i:i+1])
+		}
 	}
 }
 
@@ -843,9 +804,13 @@ func (d *Device) mergeBatch(p *sim.Proc, batch []*phys) []*phys {
 		if j-i < 2 {
 			ph := batch[i]
 			if ph.lazy && !d.failed && !ph.link.down {
-				if !d.stageOne(p, ph) {
+				if err := d.stageOne(p, ph); err != nil {
+					if _, pending := d.pending[ph.handle]; pending {
+						delete(d.pending, ph.handle)
+						d.finishPhys(ph, err)
+					}
 					i = j
-					continue // staging failed; the request is settled
+					continue
 				}
 			}
 			out = append(out, ph)
@@ -888,39 +853,45 @@ func (d *Device) mergeRun(batch []*phys, i int) int {
 	return j
 }
 
-// stageOne gives a merge-deferred request its payload home — the same
-// pool-or-MR decision Submit makes when merging is off. Returns false
-// when the pool allocation fails (the request is then settled here).
-func (d *Device) stageOne(p *sim.Proc, ph *phys) bool {
+// stageOne gives a request its payload home: a reuse-cached MR at or
+// above the hybrid threshold, the registration pool otherwise. Submit
+// stages at once; with merging on, the sender stages each request that
+// rides its own WR. It returns the pool's error when allocation fails;
+// the caller settles the request.
+func (d *Device) stageOne(p *sim.Proc, ph *phys) error {
 	ph.lazy = false
 	wdata := ph.parent.wdata
 	if d.mrc != nil && ph.length >= d.hybridThr {
+		// Hybrid fast path: the server RDMAs against a per-request MR
+		// from the reuse cache. A cache miss charges the registration
+		// cost here; a hit charges nothing — the payload pages are (in
+		// the modeled driver) registered in place, so no copy is charged
+		// either.
 		ph.mr = d.mrc.get(p, ph.length)
 		if ph.write {
 			copy(ph.mr.Buf[:ph.length], wdata[ph.off:ph.off+ph.length])
 		}
 		d.met.hybridLarge.Inc()
-		return true
+		return nil
 	}
 	poolOff, err := d.pool.Alloc(p, ph.length)
 	if err != nil {
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.finishPhys(ph, err)
-		}
-		return false
+		return err
 	}
 	ph.poolOff = poolOff
-	if d.cfg.RegisterOnTheFly {
+	if d.cfg.DataPath.Mode == Register {
+		// Pay the registration cost the pool design avoids (the data
+		// still flows through pool space so the RDMA path is unchanged;
+		// only the cost model differs).
 		p.Sleep(d.mem.Register(ph.length))
-		if ph.write {
-			copy(d.poolMR.Buf[poolOff:], wdata[ph.off:ph.off+ph.length])
-		}
 	} else if ph.write {
+		// The copy that replaces on-the-fly registration (§4.2.2).
 		p.Sleep(d.mem.Memcpy(ph.length))
+	}
+	if ph.write {
 		copy(d.poolMR.Buf[poolOff:], wdata[ph.off:ph.off+ph.length])
 	}
-	return true
+	return nil
 }
 
 // buildCarrier folds a mergeable run into one carrier WR: one credit,
@@ -972,69 +943,6 @@ func (d *Device) buildCarrier(p *sim.Proc, run []*phys) *phys {
 	return c
 }
 
-// sendOne is the paper's per-request issue path: one credit, one WQE, one
-// doorbell.
-func (d *Device) sendOne(p *sim.Proc, ph *phys) {
-	if d.failed {
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.releasePayload(p, ph)
-			d.finishPhys(ph, ErrDeviceFailed)
-		}
-		return
-	}
-	if ph.link.down {
-		// The link died while this request sat in the send queue.
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.retryOrRoute(ph)
-		}
-		return
-	}
-	ph.deqAt = p.Now()
-	d.met.queueWait.Observe(ph.deqAt.Sub(ph.enqAt))
-	if !ph.link.credits.TryAcquire(1) {
-		d.met.creditStalls.Inc()
-		stall := d.tracer.Begin(d.name, "credit-stall")
-		ph.link.credits.Acquire(p, 1)
-		stall.End()
-	}
-	ph.creditAt = p.Now()
-	if ph.link.down {
-		// The link died during the credit stall.
-		ph.link.credits.Release(1)
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.retryOrRoute(ph)
-		}
-		return
-	}
-	seg := d.marshalReq(ph)
-	// Mark in flight before posting: a failure during the post must
-	// not leave the request unaccounted.
-	ph.sent = true
-	err := ph.link.qp.PostSend(p, ib.SendWR{ID: ph.handle, Op: ib.OpSend, Local: seg, Flow: ph.flowID})
-	if err != nil {
-		if d.recovery() {
-			// A rejected post means the QP is gone; failLink requeues
-			// this request (it is sent+pending) with the others.
-			d.failLink(ph.link)
-			return
-		}
-		if _, pending := d.pending[ph.handle]; pending {
-			delete(d.pending, ph.handle)
-			d.releasePayload(p, ph)
-			d.finishPhys(ph, err)
-		}
-		ph.link.credits.Release(1)
-		return
-	}
-	ph.sentAt = p.Now()
-	d.markPosted(ph)
-	d.met.physReqs.Inc()
-	d.met.doorbells.Inc()
-}
-
 // markPosted threads the causal flow across the wire: when tracing is on,
 // the server half continues the flow under the same id, which it looks up
 // by wire handle through the shared-registry link table (the wire format
@@ -1062,6 +970,7 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 			continue
 		}
 		if ph.link.down {
+			// The link died while this request sat in the send queue.
 			if _, pending := d.pending[ph.handle]; pending {
 				delete(d.pending, ph.handle)
 				d.retryOrRoute(ph)
@@ -1073,8 +982,7 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 		live = append(live, ph)
 	}
 	for _, link := range d.links {
-		var wrs []ib.SendWR
-		var items []*phys
+		wrs, items := d.wrs[:0], d.items[:0]
 		for _, ph := range live {
 			if ph.link != link {
 				continue
@@ -1099,10 +1007,24 @@ func (d *Device) sendChained(p *sim.Proc, batch []*phys) {
 				stall.End()
 			}
 			ph.creditAt = p.Now()
+			if link.down {
+				// The link died during the credit stall. failLink already
+				// requeued this chain's earlier (sent) entries; this one
+				// was not sent yet, so it is requeued here.
+				link.credits.Release(1)
+				if _, pending := d.pending[ph.handle]; pending {
+					delete(d.pending, ph.handle)
+					d.retryOrRoute(ph)
+				}
+				continue
+			}
 			wrs = append(wrs, ib.SendWR{ID: ph.handle, Op: ib.OpSend, Local: d.marshalReq(ph), Flow: ph.flowID})
+			// Mark in flight before posting: a failure during the post
+			// must not leave the request unaccounted.
 			ph.sent = true
 			items = append(items, ph)
 		}
+		d.wrs, d.items = wrs, items
 		if len(items) == 0 {
 			continue
 		}
@@ -1248,36 +1170,35 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		return
 	}
 
-	if ph.subs != nil {
-		d.applyMerged(p, ph, replyAt, rep.Status, link)
-		return
-	}
-
 	var ferr error
 	if rep.Status != wire.StatusOK {
 		d.met.remoteErrors.Inc()
 		ferr = fmt.Errorf("%w: %v", ErrRemote, rep.Status)
 	} else if !ph.write {
 		d.met.opRead.Observe(p.Now().Sub(ph.sentAt))
-		if ph.mr != nil {
-			// Hybrid path: the server's RDMA WRITE landed in the
-			// request's own registered buffer, so there is no copy-out
-			// charge (the registration was paid — or amortized away — at
-			// submit); the MR goes back to the cache, not a deregister.
-			copy(ph.parent.readBuf[ph.off:], ph.mr.Buf[:ph.length])
-		} else {
-			if d.cfg.RegisterOnTheFly {
+		// The server's RDMA WRITE landed in the request's payload buffer.
+		// An MR (hybrid single or merge carrier) was registered in place,
+		// so there is no copy-out charge and the MR goes back to the
+		// cache, not a deregister; pool space is copied out or, under
+		// the Register ablation, deregistered.
+		buf := ph.payload(d.poolMR)
+		if ph.mr == nil {
+			if d.cfg.DataPath.Mode == Register {
 				p.Sleep(d.mem.Deregister())
 			} else {
-				// Copy the RDMA-written data out of the pool into the request.
 				p.Sleep(d.mem.Memcpy(ph.length))
 			}
-			copy(ph.parent.readBuf[ph.off:], d.poolMR.Buf[ph.poolOff:ph.poolOff+ph.length])
+		}
+		off := 0
+		for i := 0; i < ph.parts(); i++ {
+			s := ph.part(i)
+			copy(s.parent.readBuf[s.off:s.off+s.length], buf[off:off+s.length])
+			off += s.length
 		}
 		d.met.bytesRead.Add(int64(ph.length))
 	} else {
 		d.met.opWrite.Observe(p.Now().Sub(ph.sentAt))
-		if ph.mr == nil && d.cfg.RegisterOnTheFly {
+		if ph.mr == nil && d.cfg.DataPath.Mode == Register {
 			p.Sleep(d.mem.Deregister())
 		}
 		d.met.bytesWritten.Add(int64(ph.length))
@@ -1295,11 +1216,20 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 		if ph.write {
 			name = "write"
 		}
-		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), map[string]any{
+		args := map[string]any{
 			"bytes": ph.length, "server": ph.link.srv.Name(),
 			"flow": ph.flowID, "handle": ph.handle,
-		})
-		d.tracer.FlowEnd(d.name, "req", ph.flowID)
+		}
+		if ph.subs != nil {
+			name += "-merged"
+			args["reqs"] = len(ph.subs)
+		}
+		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), args)
+		for i := 0; i < ph.parts(); i++ {
+			if s := ph.part(i); i == 0 || s.flowID != ph.part(i-1).flowID {
+				d.tracer.FlowEnd(d.name, "req", s.flowID)
+			}
+		}
 	}
 	d.recordLifecycle(p, ph, replyAt, ferr)
 	d.releasePayload(p, ph)
@@ -1307,71 +1237,55 @@ func (d *Device) handleReply(p *sim.Proc, e ib.CQE) {
 	d.finishPhys(ph, ferr)
 }
 
-// applyMerged completes a carrier WR: the single reply settles every
-// constituent. Reads scatter out of the carrier MR into each parent's
-// gather buffer (no copy charge — the MR path's zero-copy contract);
-// each constituent gets its own lifecycle record and flow end, then the
-// fan-out in finishPhys settles the handles.
-func (d *Device) applyMerged(p *sim.Proc, ph *phys, replyAt sim.Time, status wire.Status, link *serverLink) {
-	var ferr error
-	if status != wire.StatusOK {
-		d.met.remoteErrors.Inc()
-		ferr = fmt.Errorf("%w: %v", ErrRemote, status)
-	} else if !ph.write {
-		d.met.opRead.Observe(p.Now().Sub(ph.sentAt))
-		off := 0
-		for _, s := range ph.subs {
-			copy(s.parent.readBuf[s.off:s.off+s.length], ph.mr.Buf[off:off+s.length])
-			off += s.length
-		}
-		d.met.bytesRead.Add(int64(ph.length))
-	} else {
-		d.met.opWrite.Observe(p.Now().Sub(ph.sentAt))
-		d.met.bytesWritten.Add(int64(ph.length))
-		if !ph.mig {
-			d.clearFallbackHold(ph.devByte, ph.length)
-		}
+// parts returns how many block-layer pieces ph completes: its merged
+// constituents when it is a merge carrier, else one (itself).
+func (ph *phys) parts() int {
+	if ph.subs != nil {
+		return len(ph.subs)
 	}
-	if d.tracer != nil {
-		name := "read-merged"
-		if ph.write {
-			name = "write-merged"
-		}
-		d.tracer.Complete(d.name, name, ph.enqAt, p.Now(), map[string]any{
-			"bytes": ph.length, "server": ph.link.srv.Name(),
-			"flow": ph.flowID, "handle": ph.handle, "reqs": len(ph.subs),
-		})
-		var lastFlow uint64
-		for _, s := range ph.subs {
-			if s.flowID != lastFlow {
-				d.tracer.FlowEnd(d.name, "req", s.flowID)
-				lastFlow = s.flowID
-			}
-		}
-	}
-	d.recordMergedLifecycle(p, ph, replyAt, ferr)
-	d.releasePayload(p, ph)
-	link.credits.Release(1)
-	d.finishPhys(ph, ferr)
+	return 1
 }
 
-// recordMergedLifecycle writes one lifecycle record per constituent of a
-// merged WR. Each record partitions the constituent's own [blkAt, now]
-// exactly: the early stages use its private timestamps, while the shared
-// flight (credit -> send -> rdma/server copy -> reply -> drain) comes
-// from the carrier's clock and single server stamp — the fan-in point is
-// the carrier's dequeue.
-func (d *Device) recordMergedLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
+// part returns ph's i-th piece in device order (ph itself when it is not
+// a merge carrier).
+func (ph *phys) part(i int) *phys {
+	if ph.subs != nil {
+		return ph.subs[i]
+	}
+	return ph
+}
+
+// payload returns the buffer ph's bytes occupy on the wire: its MR from
+// the reuse cache, or its extent of the registration pool.
+func (ph *phys) payload(poolMR *ib.MR) []byte {
+	if ph.mr != nil {
+		return ph.mr.Buf[:ph.length]
+	}
+	return poolMR.Buf[ph.poolOff : ph.poolOff+ph.length]
+}
+
+// recordLifecycle attributes a completed request's end-to-end latency to
+// the critical-path stages, one record per piece ph carries. Each record
+// partitions its piece's own [blkAt, now] exactly: every boundary is a
+// captured timestamp. The early stages use the piece's private
+// timestamps; the flight (credit -> send -> rdma/server copy -> reply ->
+// drain) comes from ph's clock and its single server stamp, so for a
+// merge carrier the fan-in point is the carrier's dequeue. The server's
+// interior split comes from its stamp in the shared registry when
+// available, falling back to post->reply flight time under "send"/"reply"
+// when the server keeps a private registry.
+//
+//hpbd:hotpath
+func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
 	if d.lc == nil {
 		return
 	}
 	now := p.Now()
 	flightStart := ph.creditAt
-	st, stOK := d.lc.TakeServerStamp(ph.handle) // carrier stamp: take once, split for all
-	if stOK && !(st.Start >= flightStart && st.Reply >= st.Start && replyAt >= st.Reply) {
-		stOK = false
-	}
-	for _, s := range ph.subs {
+	st, stOK := d.lc.TakeServerStamp(ph.handle)
+	stOK = stOK && st.Start >= flightStart && st.Reply >= st.Start && replyAt >= st.Reply
+	for i := 0; i < ph.parts(); i++ {
+		s := ph.part(i)
 		rec := telemetry.ReqRecord{
 			ID:      s.handle,
 			Flow:    s.flowID,
@@ -1383,6 +1297,8 @@ func (d *Device) recordMergedLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, 
 			End:     now,
 			Retries: retryCount(ph.attempt),
 		}
+		// Queueing is two segments: block layer -> driver dispatch, and
+		// the driver's own send queue. Only the sum must partition.
 		rec.Stages[telemetry.StageQueue] = s.submitAt.Sub(s.blkAt) + ph.deqAt.Sub(s.enqAt)
 		rec.Stages[telemetry.StagePoolWait] = s.enqAt.Sub(s.submitAt)
 		rec.Stages[telemetry.StageCreditStall] = ph.creditAt.Sub(ph.deqAt)
@@ -1404,57 +1320,6 @@ func (d *Device) recordMergedLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, 
 		if d.xover != nil {
 			d.xover.observe(&rec)
 		}
-	}
-}
-
-// recordLifecycle attributes the completed request's end-to-end latency to
-// the critical-path stages. The stages partition [blkAt, now] exactly by
-// construction: every boundary is a captured timestamp, and the server's
-// interior split (send/rdma/server-copy/reply) comes from its stamp in the
-// shared registry when available, falling back to post->reply flight time
-// under "send"/"reply" when the server keeps a private registry.
-//
-//hpbd:hotpath
-func (d *Device) recordLifecycle(p *sim.Proc, ph *phys, replyAt sim.Time, ferr error) {
-	if d.lc == nil {
-		return
-	}
-	now := p.Now()
-	rec := telemetry.ReqRecord{
-		ID:      ph.handle,
-		Flow:    ph.flowID,
-		Write:   ph.write,
-		Err:     ferr != nil,
-		Bytes:   ph.length,
-		Server:  ph.link.srv.Name(),
-		Start:   ph.blkAt,
-		End:     now,
-		Retries: retryCount(ph.attempt),
-	}
-	// Queueing is two segments: block layer -> driver dispatch, and the
-	// driver's own send queue. Only the sum must partition.
-	rec.Stages[telemetry.StageQueue] = ph.submitAt.Sub(ph.blkAt) + ph.deqAt.Sub(ph.enqAt)
-	rec.Stages[telemetry.StagePoolWait] = ph.enqAt.Sub(ph.submitAt)
-	rec.Stages[telemetry.StageCreditStall] = ph.creditAt.Sub(ph.deqAt)
-	flightStart := ph.creditAt
-	if st, ok := d.lc.TakeServerStamp(ph.handle); ok &&
-		st.Start >= flightStart && st.Reply >= st.Start && replyAt >= st.Reply {
-		srvCopy := st.Copy
-		if srvCopy > st.Reply.Sub(st.Start) {
-			srvCopy = st.Reply.Sub(st.Start)
-		}
-		rec.Stages[telemetry.StageSend] = st.Start.Sub(flightStart)
-		rec.Stages[telemetry.StageServerCopy] = srvCopy
-		rec.Stages[telemetry.StageRDMA] = st.Reply.Sub(st.Start) - srvCopy
-		rec.Stages[telemetry.StageReply] = replyAt.Sub(st.Reply)
-	} else {
-		rec.Stages[telemetry.StageSend] = ph.sentAt.Sub(flightStart)
-		rec.Stages[telemetry.StageReply] = replyAt.Sub(ph.sentAt)
-	}
-	rec.Stages[telemetry.StageDrain] = now.Sub(replyAt)
-	d.lc.Record(&rec)
-	if d.xover != nil {
-		d.xover.observe(&rec)
 	}
 }
 
@@ -1491,13 +1356,14 @@ func (d *Device) finishPhys(ph *phys, err error) {
 }
 
 // watchdog periodically scans the pending table for overdue requests
-// (outstanding longer than RequestTimeout): each is counted once in
-// hpbd.timeouts and triggers one flight-recorder dump, so a wedged server
-// leaves the last N request records in the log. Without recovery it only
-// reads the virtual clock and never completes requests, so arming it does
-// not change request timing; with recovery enabled it also cancels each
-// overdue in-flight request — releasing its credit and handing it to
-// retryOrRoute — so a wedged server no longer wedges the device forever.
+// (outstanding longer than RequestTimeout): each is counted once per
+// attempt in hpbd.timeouts and triggers one flight-recorder dump, so a
+// wedged server leaves the last N request records in the log. Without
+// recovery it only reads the virtual clock and never completes requests,
+// so arming it does not change request timing; with recovery enabled it
+// also cancels each overdue sent request — releasing its credit and
+// handing it to retryOrRoute — so a wedged server no longer wedges the
+// device forever.
 // It is only spawned when RequestTimeout > 0.
 func (d *Device) watchdog(p *sim.Proc) {
 	period := d.cfg.RequestTimeout / 2
@@ -1526,14 +1392,18 @@ func (d *Device) watchdog(p *sim.Proc) {
 		for _, h := range handles {
 			ph := d.pending[h]
 			age := now.Sub(ph.submitAt)
-			if ph.timedOut || age < d.cfg.RequestTimeout {
+			if age < d.cfg.RequestTimeout {
 				continue
 			}
-			ph.timedOut = true
-			d.met.timeouts.Inc()
-			d.lc.Flight().DumpOnEvent(fmt.Sprintf(
-				"request timeout: handle=%d flow=%d server=%s age=%v",
-				ph.handle, ph.flowID, ph.link.srv.Name(), age))
+			if !ph.timedOut {
+				ph.timedOut = true
+				d.met.timeouts.Inc()
+				d.lc.Flight().DumpOnEvent(fmt.Sprintf(
+					"request timeout: handle=%d flow=%d server=%s age=%v",
+					ph.handle, ph.flowID, ph.link.srv.Name(), age))
+			}
+			// A request first flagged while still queued behind credits
+			// is cancelled on a later pass, once it has been sent.
 			if d.recovery() && ph.sent {
 				// Cancel and re-route. A late reply to the old handle is
 				// ignored by handleReply's pending-miss path (which also
@@ -1656,14 +1526,12 @@ func (d *Device) extractPayload(ph *phys) []byte {
 	var data []byte
 	if ph.write {
 		data = make([]byte, ph.length)
-		if ph.mr != nil {
-			copy(data, ph.mr.Buf[:ph.length])
-		} else if ph.lazy {
-			// Merge-deferred staging never happened: the payload still
-			// lives in the parent's gather buffer.
+		if ph.lazy {
+			// Staging never happened: the payload still lives in the
+			// parent's gather buffer.
 			copy(data, ph.parent.wdata[ph.off:ph.off+ph.length])
 		} else {
-			copy(data, d.poolMR.Buf[ph.poolOff:ph.poolOff+ph.length])
+			copy(data, ph.payload(d.poolMR))
 		}
 	}
 	d.releasePayload(nil, ph)
@@ -1706,16 +1574,13 @@ func (d *Device) routeDegraded(ph *phys, data []byte) {
 			err := fr.Wait(p)
 			if err == nil {
 				// The fallback driver scattered into buf (the standalone
-				// request's only IO buffer). A carrier scatters on to its
-				// constituents' parents — it has no parent of its own.
-				if ph.subs != nil {
-					off := 0
-					for _, s := range ph.subs {
-						copy(s.parent.readBuf[s.off:s.off+s.length], buf[off:off+s.length])
-						off += s.length
-					}
-				} else {
-					copy(ph.parent.readBuf[ph.off:], buf)
+				// request's only IO buffer); it scatters on to the
+				// parents of the pieces ph carries.
+				off := 0
+				for i := 0; i < ph.parts(); i++ {
+					s := ph.part(i)
+					copy(s.parent.readBuf[s.off:s.off+s.length], buf[off:off+s.length])
+					off += s.length
 				}
 			}
 			d.finishDegraded(ph, err, "fallback")
@@ -1768,12 +1633,8 @@ func (d *Device) fallbackCovers(devByte int64, n int) bool {
 func (d *Device) finishDegraded(ph *phys, err error, server string) {
 	now := d.env.Now()
 	if d.lc != nil {
-		if ph.subs != nil {
-			for _, s := range ph.subs {
-				d.degradedRecord(s, err, server, now, retryCount(ph.attempt))
-			}
-		} else {
-			d.degradedRecord(ph, err, server, now, retryCount(ph.attempt))
+		for i := 0; i < ph.parts(); i++ {
+			d.degradedRecord(ph.part(i), err, server, now, retryCount(ph.attempt))
 		}
 	}
 	d.finishPhys(ph, err)

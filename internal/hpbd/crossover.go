@@ -7,9 +7,9 @@ import (
 	"hpbd/internal/telemetry"
 )
 
-// defaultCrossoverWindow is the controller's observation window in
-// completed requests when ClientConfig.CrossoverWindow is zero.
-const defaultCrossoverWindow = 64
+// crossoverWindow is the controller's observation window in completed
+// requests.
+const crossoverWindow = 8
 
 // crossoverCtrl adapts the hybrid copy/register threshold at run time.
 // The static design point — netmodel.Fig3CrossoverBytes — assumes every
@@ -35,7 +35,6 @@ const defaultCrossoverWindow = 64
 // kept page-aligned so the cutover never lands mid-page.
 type crossoverCtrl struct {
 	dev *Device
-	win int // completions per control tick
 
 	n          int // completions observed this window
 	lastHits   int64
@@ -47,13 +46,9 @@ type crossoverCtrl struct {
 	ticks    *telemetry.Counter
 }
 
-func newCrossoverCtrl(d *Device, window int, reg *telemetry.Registry) *crossoverCtrl {
-	if window <= 0 {
-		window = defaultCrossoverWindow
-	}
+func newCrossoverCtrl(d *Device, reg *telemetry.Registry) *crossoverCtrl {
 	c := &crossoverCtrl{
 		dev:      d,
-		win:      window,
 		thrGauge: reg.Gauge("hpbd.crossover.bytes"),
 		ticks:    reg.Counter("hpbd.crossover.ticks"),
 	}
@@ -62,15 +57,15 @@ func newCrossoverCtrl(d *Device, window int, reg *telemetry.Registry) *crossover
 }
 
 // observe feeds one completed request's lifecycle record into the
-// controller; every win-th completion runs a control tick. Called from
-// recordLifecycle/recordMergedLifecycle, so it must not allocate.
+// controller; every crossoverWindow-th completion runs a control tick.
+// Called from recordLifecycle, so it must not allocate.
 //
 //hpbd:hotpath
 func (c *crossoverCtrl) observe(rec *telemetry.ReqRecord) {
 	c.n++
 	c.poolWait += rec.Stages[telemetry.StagePoolWait]
 	c.e2e += rec.End.Sub(rec.Start)
-	if c.n >= c.win {
+	if c.n >= crossoverWindow {
 		c.tick()
 	}
 }

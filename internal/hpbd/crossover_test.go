@@ -10,18 +10,15 @@ import (
 	"hpbd/internal/telemetry"
 )
 
-// adaptiveBed is a hybrid-path client with the crossover controller armed
-// at a small observation window so short tests tick it many times.
+// adaptiveBed is a hybrid-path client with the crossover controller armed;
+// its small observation window ticks it many times in a short test.
 func newAdaptiveBed(t *testing.T, odp bool) *chaosBed {
 	t.Helper()
 	env := sim.NewEnv()
 	reg := telemetry.New(env)
 	f := ib.NewFabric(env, ib.DefaultConfig())
 	ccfg := DefaultClientConfig()
-	ccfg.HybridDataPath = true
-	ccfg.AdaptiveCrossover = true
-	ccfg.CrossoverWindow = 8
-	ccfg.ODP = odp
+	ccfg.DataPath = DataPath{Mode: Adaptive, ODP: odp}
 	ccfg.Telemetry = reg
 	dev := NewDevice(f, "hpbd0", ccfg)
 	tb := &testbed{env: env, fabric: f, dev: dev}
@@ -134,34 +131,5 @@ func TestAdaptiveCrossoverDeterministic(t *testing.T) {
 	a, b := take(), take()
 	if a != b {
 		t.Errorf("two identical runs diverged: %+v vs %+v", a, b)
-	}
-}
-
-// AdaptiveCrossover without the hybrid path has nothing to control and
-// must stay inert.
-func TestAdaptiveCrossoverRequiresHybrid(t *testing.T) {
-	env := sim.NewEnv()
-	reg := telemetry.New(env)
-	f := ib.NewFabric(env, ib.DefaultConfig())
-	ccfg := DefaultClientConfig()
-	ccfg.AdaptiveCrossover = true
-	ccfg.Telemetry = reg
-	dev := NewDevice(f, "hpbd0", ccfg)
-	srv := NewServer(f, "mem0", DefaultServerConfig(1<<20))
-	if err := dev.ConnectServer(srv, 1<<20); err != nil {
-		t.Fatalf("ConnectServer: %v", err)
-	}
-	queue := blockdev.NewQueue(env, netmodel.DefaultHost(), dev)
-	env.Go("io", func(p *sim.Proc) {
-		w, _ := queue.Submit(true, 0, pattern(4096, 1))
-		queue.Unplug()
-		if err := w.Wait(p); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	env.Run()
-	env.Close()
-	if ticks := reg.Counter("hpbd.crossover.ticks").Value(); ticks != 0 {
-		t.Errorf("controller ticked %d times without a hybrid path", ticks)
 	}
 }

@@ -2,6 +2,9 @@ package hpbd
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"hpbd/internal/blockdev"
@@ -172,7 +175,7 @@ func TestSplitStripedBoundaries(t *testing.T) {
 // repeat traffic into hits.
 func TestHybridLargeBypassesPool(t *testing.T) {
 	ccfg := DefaultClientConfig()
-	ccfg.HybridDataPath = true
+	ccfg.DataPath.Mode = Hybrid
 	tb := newTestbed(t, 1, 8<<20, ccfg)
 	const size = 128 * 1024
 	const reps = 6
@@ -223,7 +226,7 @@ func TestHybridLargeBypassesPool(t *testing.T) {
 // default: pool-staged, no MR cache activity.
 func TestHybridSmallStaysOnPool(t *testing.T) {
 	ccfg := DefaultClientConfig()
-	ccfg.HybridDataPath = true
+	ccfg.DataPath.Mode = Hybrid
 	tb := newTestbed(t, 1, 1<<20, ccfg)
 	want := pattern(4096, 5)
 	tb.run(func(p *sim.Proc) {
@@ -298,4 +301,111 @@ func TestClientDoorbellBatching(t *testing.T) {
 	if batched.Doorbells >= plain.Doorbells {
 		t.Errorf("batched doorbells = %d, want < %d", batched.Doorbells, plain.Doorbells)
 	}
+}
+
+// TestDataPathCombinations runs every data-path mode against every merge
+// and doorbell setting (ODP backing the MR modes): mixed 4–128 KB writes
+// laid end to end across two servers, then read back. Each combination
+// must return the written bytes, record exactly one lifecycle record per
+// physical piece with stages partitioning its latency exactly, leak no
+// credit or pool byte, and replay byte-identically from the same seed.
+func TestDataPathCombinations(t *testing.T) {
+	for _, mode := range []DataPathMode{Copy, Register, Hybrid, Adaptive} {
+		for _, merge := range []int{0, 4} {
+			for _, batch := range []int{0, 4} {
+				name := fmt.Sprintf("mode%d/merge%d/batch%d", mode, merge, batch)
+				t.Run(name, func(t *testing.T) {
+					ccfg := DefaultClientConfig()
+					ccfg.Credits = 4
+					ccfg.FlightRecEntries = 1024
+					ccfg.DataPath = DataPath{Mode: mode, ODP: mode == Hybrid || mode == Adaptive}
+					ccfg.MergeWindow = merge
+					ccfg.DoorbellBatch = batch
+					first := runDataPathMix(t, ccfg, 7)
+					if again := runDataPathMix(t, ccfg, 7); again != first {
+						t.Errorf("same-seed replay diverged:\n%s\nvs\n%s", first, again)
+					}
+				})
+			}
+		}
+	}
+}
+
+// runDataPathMix writes and reads back a seeded mix of request sizes,
+// checks the invariants TestDataPathCombinations lists, and returns a
+// fingerprint of the run's timing and lifecycle records.
+func runDataPathMix(t *testing.T, ccfg ClientConfig, seed int64) string {
+	t.Helper()
+	const area = 2 << 20
+	cb := newChaosBed(t, 2, area, ccfg, false, "")
+	rnd := rand.New(rand.NewSource(seed))
+	var sizes []int
+	total := 0
+	for total < 3<<20 {
+		n := (1 + rnd.Intn(32)) * 4096 // 4 KB .. 128 KB
+		sizes = append(sizes, n)
+		total += n
+	}
+	cb.run(func(p *sim.Proc) {
+		for pass := 0; pass < 2; pass++ {
+			write := pass == 0
+			var ios []*blockdev.IO
+			var bufs [][]byte
+			sector := int64(0)
+			for i, n := range sizes {
+				buf := pattern(n, byte(i))
+				if !write {
+					buf = make([]byte, n)
+				}
+				io, err := cb.queue.Submit(write, sector, buf)
+				if err != nil {
+					t.Errorf("submit %d: %v", i, err)
+					return
+				}
+				ios, bufs = append(ios, io), append(bufs, buf)
+				sector += int64(n / blockdev.SectorSize)
+				// Pacing past the block layer's dispatch cost keeps the
+				// elevator from coalescing the stream, so contiguous
+				// requests back up behind the credits for the driver to
+				// merge.
+				cb.queue.Unplug()
+				p.Sleep(10 * sim.Microsecond)
+			}
+			for i, io := range ios {
+				if err := io.Wait(p); err != nil {
+					t.Errorf("pass %d request %d: %v", pass, i, err)
+				} else if !write && !bytes.Equal(bufs[i], pattern(sizes[i], byte(i))) {
+					t.Errorf("request %d (%d bytes) read back corrupted", i, sizes[i])
+				}
+			}
+		}
+	})
+	recs := cb.dev.Lifecycle().Flight().Records()
+	if want := cb.queue.Stats().RequestsDispatched + int(cb.dev.Stats().Splits); len(recs) != want {
+		t.Errorf("%d lifecycle records, want one per physical piece (%d)", len(recs), want)
+	}
+	assertExactPartition(t, cb.dev)
+	if n := len(cb.dev.pending); n != 0 {
+		t.Errorf("%d requests still pending", n)
+	}
+	for i, l := range cb.dev.links {
+		if got := l.credits.Available(); got != ccfg.Credits {
+			t.Errorf("link %d credits = %d, want %d", i, got, ccfg.Credits)
+		}
+	}
+	if n := cb.dev.Pool().InUse(); n != 0 {
+		t.Errorf("%d pool bytes still allocated", n)
+	}
+	if ccfg.MergeWindow > 1 && cb.reg.Counter("hpbd.merge.wrs").Value() == 0 {
+		t.Error("no merged WR: the mix never exercised merging")
+	}
+	if m := ccfg.DataPath.Mode; (m == Hybrid || m == Adaptive) && cb.dev.Stats().HybridLarge == 0 {
+		t.Error("no request took the MR path")
+	}
+	var fp strings.Builder
+	fmt.Fprintf(&fp, "end=%v stats=%+v\n", cb.env.Now(), cb.dev.Stats())
+	for _, r := range recs {
+		fmt.Fprintf(&fp, "%+v\n", r)
+	}
+	return fp.String()
 }

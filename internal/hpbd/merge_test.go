@@ -268,7 +268,7 @@ func TestMRCacheEvictWhileIdle(t *testing.T) {
 	env.Close()
 }
 
-// The ODP client path end to end: with ClientConfig.ODP the hybrid MR
+// The ODP client path end to end: with DataPath.ODP the hybrid MR
 // cache registers on-demand regions, so a cold large write pays page
 // faults on the wire (odp.faults), a warm repeat pays none, and an
 // odpinval fault through the injector forces a re-fault — with no effect
@@ -280,8 +280,7 @@ func TestClientODPFaultLifecycle(t *testing.T) {
 	ibcfg.Telemetry = reg // the odp.faults series lives on the fabric
 	f := ib.NewFabric(env, ibcfg)
 	ccfg := DefaultClientConfig()
-	ccfg.HybridDataPath = true
-	ccfg.ODP = true
+	ccfg.DataPath = DataPath{Mode: Hybrid, ODP: true}
 	ccfg.Telemetry = reg
 	dev := NewDevice(f, "hpbd0", ccfg)
 	srv := NewServer(f, "mem0", DefaultServerConfig(8<<20))

@@ -56,7 +56,7 @@ type extent struct {
 // non-empty larger class, so the scan touches classes, not every
 // fragment. Coalescing binary-searches the address-ordered list for the
 // two neighbours instead of walking it. The paper's plain first-fit
-// allocator is preserved behind NewFirstFitPool as the ablation baseline.
+// allocator is preserved behind NewFirstFitPool as the benchmark baseline.
 type BufferPool struct {
 	size     int
 	firstFit bool
@@ -109,8 +109,8 @@ func NewBufferPool(env *sim.Env, size int) *BufferPool {
 }
 
 // NewFirstFitPool creates a pool using the paper's original first-fit
-// free-list allocator. It exists as the ablation/benchmark baseline for
-// the size-classed default (ClientConfig.FirstFitPool selects it).
+// free-list allocator. It exists as the benchmark baseline for the
+// size-classed default (BenchmarkPool*).
 func NewFirstFitPool(env *sim.Env, size int) *BufferPool {
 	b := newPool(env, size)
 	b.firstFit = true

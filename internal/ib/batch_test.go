@@ -13,7 +13,6 @@ import (
 // message in order.
 func TestPostSendBatchSingleDoorbell(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.PerDoorbell = cfg.PerWQE
 	env, _, a, b := pair(cfg)
 	const n = 4
 	amr, bmr := a.mr(n*64), b.mr(n*64)
@@ -51,15 +50,16 @@ func TestPostSendBatchSingleDoorbell(t *testing.T) {
 		}
 	})
 	env.Run()
-	if charged != cfg.PerDoorbell {
-		t.Errorf("batched post charged %v, want one doorbell %v", charged, cfg.PerDoorbell)
+	if charged != cfg.PerWQE {
+		t.Errorf("batched post charged %v, want one doorbell %v", charged, cfg.PerWQE)
 	}
 }
 
-// TestPostSendBatchDoorbellFallback checks that PerDoorbell=0 degrades to
-// the PerWQE charge (batching can never be modeled as free).
+// TestPostSendBatchDoorbellFallback checks that a two-WR chain is charged
+// exactly one PerWQE: batching is never modeled as free, nor as a
+// per-WQE charge.
 func TestPostSendBatchDoorbellFallback(t *testing.T) {
-	cfg := DefaultConfig() // PerDoorbell unset
+	cfg := DefaultConfig()
 	env, _, a, b := pair(cfg)
 	amr := a.mr(128)
 	bmr := b.mr(128)
@@ -83,7 +83,7 @@ func TestPostSendBatchDoorbellFallback(t *testing.T) {
 	})
 	env.Run()
 	if charged != cfg.PerWQE {
-		t.Errorf("fallback charge = %v, want PerWQE %v", charged, cfg.PerWQE)
+		t.Errorf("chain charge = %v, want one PerWQE %v", charged, cfg.PerWQE)
 	}
 }
 

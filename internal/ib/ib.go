@@ -93,13 +93,11 @@ type Config struct {
 	QPCacheSize int
 	// QPCacheMiss is the context fetch penalty.
 	QPCacheMiss sim.Duration
-	// PerWQE is host CPU charged to the posting process per work request.
+	// PerWQE is host CPU charged to the posting process per post: once per
+	// PostSend, and once per chained PostSendBatch however many WQEs ride
+	// the chain (the descriptor writes are amortized; the doorbell write
+	// dominates).
 	PerWQE sim.Duration
-	// PerDoorbell is the host CPU charged once for a chained PostSendBatch
-	// post, regardless of how many WQEs ride the chain (the descriptor
-	// writes are amortized; the doorbell write dominates). Zero falls back
-	// to PerWQE, so batching never looks cheaper than a single post.
-	PerDoorbell sim.Duration
 	// EventDelay is the latency from a completion to the completion event
 	// handler running (interrupt + handler dispatch).
 	EventDelay sim.Duration

@@ -138,9 +138,9 @@ func (q *QP) PostSend(p *sim.Proc, wr SendWR) error {
 }
 
 // PostSendBatch posts wrs as one chained work-request list rung with a
-// single doorbell: the posting process is charged Config.PerDoorbell once
-// (PerWQE when PerDoorbell is zero) instead of PerWQE per request, which
-// is the host-overhead saving doorbell batching buys. The WRs issue in
+// single doorbell: the posting process is charged Config.PerWQE once for
+// the whole chain instead of once per request, which is the host-overhead
+// saving doorbell batching buys. The WRs issue in
 // slice order and complete individually on the send CQ. Validation is
 // atomic: on error nothing is issued.
 func (q *QP) PostSendBatch(p *sim.Proc, wrs []SendWR) error {
@@ -158,11 +158,7 @@ func (q *QP) PostSendBatch(p *sim.Proc, wrs []SendWR) error {
 			return ErrBadSegment
 		}
 	}
-	d := q.hca.fabric.cfg.PerDoorbell
-	if d <= 0 {
-		d = q.hca.fabric.cfg.PerWQE
-	}
-	p.Sleep(d)
+	p.Sleep(q.hca.fabric.cfg.PerWQE)
 	for i := range wrs {
 		q.issue(wrs[i])
 	}
