@@ -12,6 +12,8 @@
 package workload
 
 import (
+	"math"
+
 	"hpbd/internal/sim"
 	"hpbd/internal/vm"
 )
@@ -68,35 +70,47 @@ func (a *PagedArray) Access(p *sim.Proc, idx int, write bool) error {
 	return a.as.Touch(p, page, write)
 }
 
-// AccessRange touches every page covering elements [idx, idx+count).
-func (a *PagedArray) AccessRange(p *sim.Proc, idx, count int, write bool) error {
-	first := idx * a.elemBytes >> vm.PageShift
-	last := (idx+count)*a.elemBytes - 1
-	if count <= 0 {
-		return nil
+// The span layer lets a workload run a stretch of accesses as a plain loop
+// over its own data and charge them afterwards, exactly as Access would
+// have charged them one by one. A caller starts such a block only after
+// resident holds for every page the block can touch, makes at most
+// spanBudget accesses in it, applies the block's MarkAccess side effects
+// itself (the first read and the first write of each page, in the order
+// the element-by-element path would make them) and ends it with charge.
+// Nothing in a block sleeps, so no other process runs, evicts a page or
+// sees the marks before the block ends. The access that reaches flushAt,
+// every fault and every access outside a block go through Access.
+
+// spanBudget returns how many accesses can be charged before the one that
+// would reach flushAt: the largest k with accum + k*cpu < flushAt.
+func (a *PagedArray) spanBudget() int {
+	if a.cpu <= 0 {
+		return math.MaxInt
 	}
-	lastPage := last >> vm.PageShift
-	for pg := first; pg <= lastPage; pg++ {
-		a.Accesses++
-		a.accum += a.cpu
-		if a.as.Resident(pg) {
-			a.as.MarkAccess(pg, write)
-			continue
-		}
-		d := a.accum
-		a.accum = 0
-		p.Sleep(d)
-		a.FaultsIn++
-		if err := a.as.Touch(p, pg, write); err != nil {
-			return err
-		}
-	}
-	if a.accum >= a.flushAt {
-		d := a.accum
-		a.accum = 0
-		p.Sleep(d)
-	}
-	return nil
+	return int((a.flushAt - a.accum - 1) / a.cpu)
+}
+
+// pageEnd returns the first element past the page that holds element idx.
+func (a *PagedArray) pageEnd(idx int) int {
+	next := (idx*a.elemBytes>>vm.PageShift + 1) << vm.PageShift
+	return (next + a.elemBytes - 1) / a.elemBytes
+}
+
+// resident reports whether the page holding element idx is mapped.
+func (a *PagedArray) resident(idx int) bool {
+	return a.as.Resident(idx * a.elemBytes >> vm.PageShift)
+}
+
+// mark applies MarkAccess to the resident page holding element idx.
+func (a *PagedArray) mark(idx int, write bool) {
+	a.as.MarkAccess(idx*a.elemBytes>>vm.PageShift, write)
+}
+
+// charge adds n accesses made inside a block; n must not exceed the
+// block's spanBudget.
+func (a *PagedArray) charge(n int) {
+	a.Accesses += int64(n)
+	a.accum += sim.Duration(n) * a.cpu
 }
 
 // Flush charges any accumulated CPU time to the clock; call at the end of

@@ -109,13 +109,35 @@ func (q *Quicksort) Run(p *sim.Proc) error {
 // is what lets swap-in readahead and block-layer merging work for the
 // sort (the paper's quick sort follows CLRS [20], and sorts uniformly
 // random input, where the last-element pivot is well-behaved).
+//
+// The scan runs in blocks of plain slice accesses (partitionBlock); an
+// element that cannot start one, because its page is not resident, i's
+// next page is not resident or the flush point is reached, goes through
+// the paging layer on its own.
 func (q *Quicksort) partition(p *sim.Proc, lo, hi int) (int, error) {
 	pivot, err := q.read(p, hi)
 	if err != nil {
 		return 0, err
 	}
-	i := lo - 1
-	for j := lo; j < hi; j++ {
+	i, j := lo-1, lo
+	for j < hi {
+		// A scanned element costs at most three accesses: its read and a
+		// swap.
+		end := min(hi, q.arr.pageEnd(j))
+		if k := q.arr.spanBudget() / 3; k < end-j {
+			end = j + k
+		}
+		if end > j && q.arr.resident(j) {
+			iEnd := i + 1
+			if q.arr.resident(i + 1) {
+				iEnd = q.arr.pageEnd(i + 1)
+			}
+			var n int
+			if i, j, n = q.partitionBlock(i, j, end, iEnd, pivot); n > 0 {
+				q.arr.charge(n)
+				continue
+			}
+		}
 		v, err := q.read(p, j)
 		if err != nil {
 			return 0, err
@@ -128,6 +150,7 @@ func (q *Quicksort) partition(p *sim.Proc, lo, hi int) (int, error) {
 				}
 			}
 		}
+		j++
 	}
 	if err := q.swap(p, i+1, hi); err != nil {
 		return 0, err
@@ -135,33 +158,134 @@ func (q *Quicksort) partition(p *sim.Proc, lo, hi int) (int, error) {
 	return i + 1, nil
 }
 
+// partitionBlock scans elements [j, end) of a partition as a plain loop
+// and returns the new cursors and the number of accesses made. The caller
+// has checked that j's page is resident, that end stays on that page and
+// within the flush budget, and that i may advance while i+1 < iEnd (the
+// end of i+1's page if it is resident, else i+1 itself). The block may
+// stop early, where i could next reach iEnd.
+//
+//hpbd:hotpath
+func (q *Quicksort) partitionBlock(i, j, end, iEnd int, pivot int32) (int, int, int) {
+	d := q.data
+	j0 := j
+	// Until the scan meets an element above the pivot, i+1 == j and an
+	// element at or below it advances i without a swap.
+	for j < end && i+1 == j && d[j] <= pivot {
+		i, j = j, j+1
+	}
+	// From here on i+1 < j, so every element at or below the pivot is
+	// swapped: the loop swaps unconditionally and lets the comparison pick
+	// which of the two values goes where. i advances at most once per
+	// element, so the loop ends before it could reach iEnd.
+	k0 := i + 1
+	end = min(end, j+iEnd-k0)
+	for ; j < end; j++ {
+		v := d[j]
+		k := i + 1
+		// m is -1 if v <= pivot, else 0, so delta is j-k or 0: the two
+		// stores swap d[k] and d[j], or store both back unchanged.
+		m := (int64(v) - int64(pivot) - 1) >> 63
+		delta := int(m) & (j - k)
+		d[k+delta] = d[k]
+		d[j-delta] = v
+		i -= int(m)
+	}
+	swaps := i + 1 - k0
+	if j > j0 {
+		// The element-by-element path reads j's page first; its first swap
+		// then dirties i's page and j's. Every later mark in the block
+		// repeats one of these.
+		q.arr.mark(j0, false)
+		if swaps > 0 {
+			q.arr.mark(k0, true)
+			q.arr.mark(j0, true)
+		}
+	}
+	return i, j, j - j0 + 2*swaps
+}
+
+// insertion sorts [lo, hi] by straight insertion. A run on one resident
+// page is sorted in blocks (insertionBlock); an element whose insertion
+// could reach the flush point, and a run that crosses a page boundary or
+// has a page out, go through the paging layer element by element.
 func (q *Quicksort) insertion(p *sim.Proc, lo, hi int) error {
-	for i := lo + 1; i <= hi; i++ {
-		v, err := q.read(p, i)
+	onePage := hi < q.arr.pageEnd(lo)
+	for i := lo + 1; i <= hi; {
+		if onePage && q.arr.resident(lo) {
+			var n int
+			if i, n = q.insertionBlock(lo, hi, i, q.arr.spanBudget()); n > 0 {
+				q.arr.charge(n)
+				continue
+			}
+		}
+		if err := q.insert(p, lo, i); err != nil {
+			return err
+		}
+		i++
+	}
+	return nil
+}
+
+// insert moves element i into place in the sorted run [lo, i) through the
+// paging layer.
+func (q *Quicksort) insert(p *sim.Proc, lo, i int) error {
+	v, err := q.read(p, i)
+	if err != nil {
+		return err
+	}
+	j := i - 1
+	for j >= lo {
+		w, err := q.read(p, j)
 		if err != nil {
 			return err
 		}
-		j := i - 1
-		for j >= lo {
-			w, err := q.read(p, j)
-			if err != nil {
-				return err
-			}
-			if w <= v {
-				break
-			}
-			if err := q.arr.Access(p, j+1, true); err != nil {
-				return err
-			}
-			q.data[j+1] = w
-			j--
+		if w <= v {
+			break
 		}
 		if err := q.arr.Access(p, j+1, true); err != nil {
 			return err
 		}
-		q.data[j+1] = v
+		q.data[j+1] = w
+		j--
 	}
+	if err := q.arr.Access(p, j+1, true); err != nil {
+		return err
+	}
+	q.data[j+1] = v
 	return nil
+}
+
+// insertionBlock inserts elements i.. of the run [lo, hi], which lies on
+// one resident page, as plain loops while the worst case of the next
+// insertion, 2+2(i-lo) accesses, fits in budget. It returns the next
+// element to insert and the number of accesses made.
+//
+//hpbd:hotpath
+func (q *Quicksort) insertionBlock(lo, hi, i, budget int) (int, int) {
+	d := q.data
+	i0, n := i, 0
+	for ; i <= hi && n+2+2*(i-lo) <= budget; i++ {
+		v := d[i]
+		j := i - 1
+		for j >= lo && d[j] > v {
+			d[j+1] = d[j]
+			j--
+		}
+		d[j+1] = v
+		// A read of v, a read and a write per shift, the read that stopped
+		// the scan if it stopped above lo, and the store of v.
+		n += 2 + 2*(i-1-j)
+		if j >= lo {
+			n++
+		}
+	}
+	if i > i0 {
+		// Each insertion reads the page, then writes it.
+		q.arr.mark(lo, false)
+		q.arr.mark(lo, true)
+	}
+	return i, n
 }
 
 // Release frees the workload's memory.
