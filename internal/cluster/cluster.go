@@ -18,7 +18,6 @@ import (
 	"hpbd/internal/sim"
 	"hpbd/internal/tcpip"
 	"hpbd/internal/telemetry"
-	"hpbd/internal/tenant"
 	"hpbd/internal/vm"
 )
 
@@ -111,21 +110,6 @@ type Config struct {
 	// defaults. Nil (the default) runs no health code at all and keeps
 	// every output surface byte-identical.
 	Health *health.Config
-	// Tenancy, if non-nil, provisions every HPBD server with the
-	// multi-tenant QoS spec: per-tenant credit partitioning of the
-	// receive window, weighted fair scheduling of RDMA issue, and
-	// per-tenant memory quotas (see internal/tenant and hpbd/tenancy.go).
-	// The node's own device attaches as TenantID. Nil (the default) keeps
-	// every output surface byte-identical to a single-tenant node. HPBD
-	// only. Multi-device fleets are built with NewTenantFleet.
-	Tenancy *tenant.Spec
-	// TenantID is the identity the node's device presents when Tenancy is
-	// set (default: the spec's first tenant).
-	TenantID string
-	// TenantFIFO replaces the fair queue with FIFO issue while keeping
-	// the rest of the tenancy machinery (the isolation experiments'
-	// control arm).
-	TenantFIFO bool
 }
 
 // Node is an assembled machine.
@@ -170,20 +154,6 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 	}
 	if (cfg.Mirror || cfg.Faults != nil || cfg.FallbackDisk || cfg.Elastic) && cfg.Swap != SwapHPBD {
 		return nil, fmt.Errorf("cluster: Mirror/Faults/FallbackDisk/Elastic require SwapHPBD, got %s", cfg.Swap)
-	}
-	if cfg.Tenancy != nil {
-		if cfg.Swap != SwapHPBD {
-			return nil, fmt.Errorf("cluster: Tenancy requires SwapHPBD, got %s", cfg.Swap)
-		}
-		if err := cfg.Tenancy.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.TenantID == "" {
-			cfg.TenantID = cfg.Tenancy.Tenants[0].ID
-		}
-		if cfg.Tenancy.Find(cfg.TenantID) == nil {
-			return nil, fmt.Errorf("cluster: TenantID %q not in the QoS spec", cfg.TenantID)
-		}
 	}
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -246,14 +216,6 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 		if cfg.Elastic {
 			ccfg.Elastic = true
 		}
-		if cfg.Tenancy != nil {
-			ccfg.Tenant = cfg.TenantID
-			// Credit partitioning surfaces as RNR/quota pushback; the
-			// retry path must be armed for the device to ride it out.
-			if ccfg.MaxRetries == 0 {
-				ccfg.MaxRetries = 8
-			}
-		}
 		area := cfg.SwapBytes / int64(cfg.Servers)
 		area -= area % blockdev.SectorSize
 		if area <= 0 {
@@ -286,10 +248,6 @@ func Build(env *sim.Env, cfg Config) (*Node, error) {
 				sc := scfg(area)
 				if sc.Telemetry == nil {
 					sc.Telemetry = tel
-				}
-				if cfg.Tenancy != nil && sc.Tenancy == nil {
-					sc.Tenancy = cfg.Tenancy
-					sc.TenantFIFO = cfg.TenantFIFO
 				}
 				// A doorbell-batching client implies batching servers unless an
 				// explicit server config already decided.

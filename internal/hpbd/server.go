@@ -18,9 +18,9 @@ import (
 type ServerConfig struct {
 	// StoreBytes is the total RamDisk capacity exported to clients.
 	StoreBytes int64
-	// Workers is the number of concurrent request processors; each owns
-	// one staging buffer, so it bounds outstanding RDMA operations and
-	// provides the paper's RDMA/memcpy overlap.
+	// Workers is the number of concurrent request processors; the staging
+	// pool holds one buffer per worker, so it bounds outstanding RDMA
+	// operations and provides the paper's RDMA/memcpy overlap.
 	Workers int
 	// StagingBytes is the size of each staging buffer (>= the largest
 	// request, 128 KB).
@@ -50,25 +50,14 @@ type ServerConfig struct {
 
 	// Tenancy, if non-nil, turns on multi-tenant QoS (see tenancy.go):
 	// the receive window is credit-partitioned per tenant, worker issue
-	// order comes from the byte-weighted fair queue, and per-tenant
-	// quotas are admission-enforced. Nil (the default) keeps the
-	// single-tenant server byte-identical.
+	// order comes from the byte-weighted fair queue in quantum issue (see
+	// serve), and per-tenant quotas are admission-enforced. Nil (the
+	// default) keeps the single-tenant server byte-identical.
 	Tenancy *tenant.Spec
-	// TenantFIFO replaces the fair queue with strict FIFO issue while
-	// keeping every other tenancy mechanism — the isolation experiments'
-	// control arm. Ignored without Tenancy.
+	// TenantFIFO replaces the fair queue with strict FIFO issue of whole
+	// requests while keeping every other tenancy mechanism — the
+	// isolation experiments' control arm. Ignored without Tenancy.
 	TenantFIFO bool
-	// TenantSelfCheck runs the credit bank's conservation check (the
-	// creditbalance analyzer's runtime twin) at every credit operation
-	// and scheduler tick, latching the first violation for TenancyCheck.
-	TenantSelfCheck bool
-	// TenantQuantum is the fair queue's issue quantum in bytes: a request
-	// larger than one quantum is transferred one quantum per scheduler
-	// grant, re-entering the queue between chunks, so a small request
-	// never waits behind more than one quantum of a neighbor's bulk
-	// transfer on the wire. Zero means 16 KB. Ignored with TenantFIFO,
-	// which keeps the legacy monolithic issue as the control arm.
-	TenantQuantum int
 }
 
 // DefaultServerConfig returns the paper's server configuration for a
@@ -129,13 +118,13 @@ func newServerMetrics(reg *telemetry.Registry, name string) serverMetrics {
 	}
 }
 
-// srvReq is one request in flight inside the server. cont is non-nil on
-// a quantum continuation: a partially transferred request re-queued by
-// the fair scheduler between chunks (see tnServeQuantum).
+// srvReq is one request in flight inside the server. cont is nil until
+// the request's first grant; after that it is the request's service
+// state, carried across grants when quantum issue re-queues it.
 type srvReq struct {
 	conn *clientConn
 	req  wire.Request
-	cont *tnCont
+	cont *srvCont
 }
 
 // clientConn is the server-side state for one attached client.
@@ -164,7 +153,9 @@ type Server struct {
 	conns     map[*ib.QP]*clientConn
 	ledger    *placement.Ledger
 	tn        *srvTenancy // nil without cfg.Tenancy
-	work      *sim.Chan[srvReq]
+	work      *tenant.Sched[srvReq]
+	quantum   bool       // quantum issue: tenancy with the fair queue (see serve)
+	pool      []*srvCont // staging pool: free per-request service state
 	sleepQ    *sim.WaitQueue
 	rdmaWaits map[uint64]*sim.Event
 	nextWRID  uint64
@@ -211,9 +202,18 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		store:     ramdisk.New(cfg.StoreBytes, f.Config().Mem),
 		conns:     make(map[*ib.QP]*clientConn),
 		ledger:    placement.NewLedger(cfg.StoreBytes),
-		work:      sim.NewChan[srvReq](env, 0),
+		quantum:   cfg.Tenancy != nil && !cfg.TenantFIFO,
 		sleepQ:    sim.NewWaitQueue(env),
 		rdmaWaits: make(map[uint64]*sim.Event),
+	}
+	// Every server issues from one queue: strict FIFO unless quantum issue
+	// orders it by the byte-weighted fair queue.
+	s.work = tenant.NewSched[srvReq](env, !s.quantum)
+	// The staging pool covers the most requests in service at once: one
+	// per worker, or under quantum issue one per provisioned credit (a
+	// request in service holds a credit).
+	for i := 0; i < s.poolSize(); i++ {
+		s.pool = append(s.pool, &srvCont{buf: hca.RegisterMRAtSetup(make([]byte, cfg.StagingBytes))})
 	}
 	if cfg.Tenancy != nil {
 		s.tnInit()
@@ -227,10 +227,10 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		env.Go(name+"-issuer", s.rdmaIssuer)
 	}
 	workers := cfg.Workers
-	if s.tn != nil && !cfg.TenantFIFO {
-		// Fair-queue mode issues through a single worker: the wire is the
-		// contended resource, and quantum-granular WFQ can only bound a
-		// small tenant's wait if one scheduler grant means one transfer in
+	if s.quantum {
+		// Quantum issue runs a single worker: the wire is the contended
+		// resource, and quantum-granular WFQ can only bound a small
+		// tenant's wait if one scheduler grant means one transfer in
 		// flight. The multi-worker RDMA/memcpy overlap is what the QoS
 		// contract trades away; the FIFO control arm keeps it.
 		workers = 1
@@ -240,6 +240,14 @@ func NewServer(f *ib.Fabric, name string, cfg ServerConfig) *Server {
 		env.Go(wname, func(p *sim.Proc) { s.worker(p, wname) })
 	}
 	return s
+}
+
+// poolSize is the staging pool's provisioned size.
+func (s *Server) poolSize() int {
+	if s.quantum {
+		return s.cfg.Tenancy.Provisioned()
+	}
+	return s.cfg.Workers
 }
 
 // Name returns the server's name.
@@ -442,11 +450,11 @@ func (s *Server) recvLoop(p *sim.Proc) {
 				continue
 			}
 		}
-		s.handleRecvCQE(p, e)
+		s.handleRecvCQE(e)
 	}
 }
 
-func (s *Server) handleRecvCQE(p *sim.Proc, e ib.CQE) {
+func (s *Server) handleRecvCQE(e ib.CQE) {
 	if e.Op != ib.OpRecv {
 		return
 	}
@@ -485,14 +493,9 @@ func (s *Server) handleRecvCQE(p *sim.Proc, e ib.CQE) {
 		return
 	}
 	s.met.requests.Inc()
-	if s.tn != nil {
-		// The fair queue never blocks the receive loop; workers pop in
-		// virtual-finish order. In quantum mode only the first wire
-		// chunk's bytes are charged here — continuations charge their own.
-		s.tn.sched.Push(conn.tenantID, s.tnDispatchBytes(req), s.env.Now(), srvReq{conn: conn, req: req})
-		return
-	}
-	s.work.Send(p, srvReq{conn: conn, req: req})
+	// The work queue never blocks the receive loop; workers pop in FIFO
+	// or, under quantum issue, virtual-finish order.
+	s.work.Push(conn.tenantID, s.dispatchBytes(req), s.env.Now(), srvReq{conn: conn, req: req})
 }
 
 // dataCQLoop demultiplexes RDMA and reply-send completions to the waiting
@@ -612,162 +615,319 @@ func (s *Server) sendReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, handle
 	})
 }
 
-// worker processes requests with its own staging buffer, providing the
-// multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels this
-// worker's trace track so the overlap is visible across workers. Under
-// tenancy the worker pool feeds from the weighted fair queue instead of
-// the FIFO work channel, observes each request's queueing delay into its
-// tenant's sched-wait histogram, and releases the request's credit after
-// service.
+// tenantQuantum is quantum issue's wire quantum in bytes: a request
+// larger than one quantum moves one quantum per scheduler grant,
+// re-entering the queue between chunks, so a small request never waits
+// behind more than one quantum of a neighbor's bulk transfer. 16 KB
+// keeps that residual wait near the small-request service time while
+// holding per-chunk posting overhead to a few percent of a 128 KB
+// transfer (DESIGN.md §12.3).
+const tenantQuantum = 16 * 1024
+
+// chunk is the next wire transfer's size for a request of n bytes with
+// done bytes moved: one quantum under quantum issue, else the rest.
+func (s *Server) chunk(n, done int) int {
+	if s.quantum && n-done > tenantQuantum {
+		return tenantQuantum
+	}
+	return n - done
+}
+
+// dispatchBytes is the byte cost the receive loop charges when it
+// queues a fresh request. Under quantum issue every grant that moves a
+// chunk over the wire is charged that chunk — so a flow's virtual time
+// advances by exactly its payload bytes — which makes the dispatch
+// charge the first chunk for writes (the first grant RDMA-reads it) and
+// zero for reads (the first grant only dispatches the store read; the
+// chunks charge themselves when the data is ready). FIFO issue charges
+// the whole request up front; there the cost only feeds the byte
+// counters.
+func (s *Server) dispatchBytes(req wire.Request) int {
+	n := int(req.Length)
+	if !s.quantum {
+		return n
+	}
+	if req.Type == wire.ReqRead {
+		return 0
+	}
+	return s.chunk(n, 0)
+}
+
+// srvCont is one request's service state: its staging buffer, how many
+// payload bytes have moved, the store stage's outcome, and the
+// lifecycle bookkeeping its reply stamps. It comes from the staging
+// pool with its buffer, so the request path allocates neither.
+type srvCont struct {
+	buf    *ib.MR
+	done   int
+	ready  bool // read: store stage ran, chunks may stream
+	fail   bool // read: store stage failed
+	wstart sim.Time
+	copyNs sim.Duration
+	flow   uint64
+}
+
+// getCont takes fresh service state from the staging pool (registering a
+// spare is a defensive fallback; the pool is provisioned for the most
+// requests that can be in service at once).
+func (s *Server) getCont() *srvCont {
+	n := len(s.pool)
+	if n == 0 {
+		return &srvCont{buf: s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))}
+	}
+	c := s.pool[n-1]
+	s.pool = s.pool[:n-1]
+	*c = srvCont{buf: c.buf}
+	return c
+}
+
+func (s *Server) putCont(c *srvCont) { s.pool = append(s.pool, c) }
+
+// grant is one serve step's outcome.
+type grant int
+
+const (
+	grantDone   grant = iota // request finished: its state returns to the pool
+	grantMore                // partially transferred: re-queue the continuation
+	grantParked              // handed to a store proc, which re-queues or finishes it
+)
+
+// worker pops requests from the work queue and serves them, providing
+// the multiple-outstanding-RDMA + memcpy overlap of §4.2.1. wname labels
+// this worker's trace track so the overlap is visible across workers.
+// Under tenancy each pop is a scheduler tick: the credit bank's
+// conservation check runs, a request's first grant observes its queueing
+// delay into its tenant's sched-wait histogram, and a finished request
+// releases its credit.
 func (s *Server) worker(p *sim.Proc, wname string) {
-	staging := s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))
 	replyMR := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-	if s.tn != nil {
-		for {
-			item, pushAt, ok := s.tn.sched.Pop(p)
-			if !ok {
-				return
-			}
+	for {
+		item, pushAt, ok := s.work.Pop(p)
+		if !ok {
+			return
+		}
+		if s.tn != nil {
 			s.tnCheck()
 			if item.cont == nil {
 				// Continuations are issue grants, not arrivals: only the
 				// request's first grant measures its queueing delay.
 				s.tn.met[item.conn.tenantID].schedWait.Observe(p.Now().Sub(pushAt))
 			}
-			if s.cfg.TenantFIFO {
-				s.serveOne(p, wname, staging, replyMR, item)
-				s.tnRelease(item.conn)
-				continue
-			}
-			item, grant := s.tnServeQuantum(p, wname, replyMR, item)
-			switch grant {
-			case tnDone:
-				s.tnRelease(item.conn)
-			case tnMore:
-				rest := s.tnChunk(int(item.req.Length), item.cont.done)
-				s.tn.sched.Push(item.conn.tenantID, rest, p.Now(), item)
-			case tnParked:
-				// A store proc owns the request now; it re-queues the
-				// continuation or finishes and releases the credit itself.
-			}
 		}
-	}
-	for {
-		item, ok := s.work.Recv(p)
-		if !ok {
-			return
+		item, g := s.serve(p, wname, replyMR, item)
+		switch g {
+		case grantDone:
+			s.putCont(item.cont)
+			if s.tn != nil {
+				s.tnRelease(item.conn)
+			}
+		case grantMore:
+			s.work.Push(item.conn.tenantID, s.chunk(int(item.req.Length), item.cont.done), p.Now(), item)
+		case grantParked:
+			// A store proc owns the request now; it re-queues the
+			// continuation or finishes it itself.
 		}
-		s.serveOne(p, wname, staging, replyMR, item)
 	}
 }
 
-// serveOne services a single request on the calling worker's staging and
-// reply buffers.
-func (s *Server) serveOne(p *sim.Proc, wname string, staging, replyMR *ib.MR, item srvReq) {
-	conn, req := item.conn, item.req
-	// Lifecycle instrumentation: wstart anchors the server's interior
-	// split of the request, copyNs accumulates the local memcpy share,
-	// and the client's flow (linked by handle through the shared
-	// registry) continues on this worker's trace track. The stamp is
-	// published just before every reply so the client's breakdown can
-	// attribute send / rdma / server-copy / reply exactly.
-	lc := s.lifecycle()
-	wstart := p.Now()
-	var copyNs sim.Duration
-	flow, hasFlow := lc.TakeFlow(req.Handle)
-	if hasFlow {
-		s.tracer.FlowStep(wname, "req", flow)
-	}
-	reply := func(st wire.Status) {
-		// An active hang fault wedges the reply (and its stamp) until
-		// the deadline; sleeping before StampServer keeps the client's
-		// exact stage partition intact — the hang shows up as server
-		// time, which is where it was actually spent.
-		if s.hangUntil > p.Now() {
-			p.Sleep(s.hangUntil.Sub(p.Now()))
+// serve runs one grant of item on the calling worker. The first grant
+// validates the request and runs quota admission; each grant then moves
+// one chunk over the wire (RDMA READ pulls a swap-out, RDMA WRITE pushes
+// a swap-in) and the store stage copies between staging and the RamDisk.
+// Without quantum issue a chunk is the whole request and the store stage
+// runs inline on the worker's track, so one grant serves the request.
+// Quantum issue moves one tenantQuantum per grant and runs the store
+// stage in a spawned proc on the "<name>-store" track, off the issue
+// worker entirely. Two properties fall out, and both are load-bearing
+// for isolation:
+//
+//   - a competing tenant's small request waits at most one quantum of
+//     wire time behind a neighbor's bulk transfer (the ingress link is
+//     reserved at post time, so queue-order-only fairness cannot bound
+//     this), and
+//   - the issue worker never sits in the store's per-op overhead, so
+//     that overhead — paid once per request either way — never becomes
+//     the preemption granularity.
+//
+// Writes RDMA-read chunk by chunk, then store and reply (in a storer
+// proc under quantum issue). Reads run the store stage first (a reader
+// proc under quantum issue re-queues the request when the data is
+// staged), then RDMA-write chunk by chunk and reply on the worker.
+func (s *Server) serve(p *sim.Proc, wname string, replyMR *ib.MR, item srvReq) (srvReq, grant) {
+	n := int(item.req.Length)
+	c := item.cont
+	if c == nil {
+		// Lifecycle instrumentation: wstart anchors the server's interior
+		// split of the request, copyNs accumulates the store's memcpy
+		// share, and the client's flow (linked by handle through the
+		// shared registry) continues on this worker's trace track.
+		c = s.getCont()
+		c.wstart = p.Now()
+		var hasFlow bool
+		c.flow, hasFlow = s.lifecycle().TakeFlow(item.req.Handle)
+		if hasFlow {
+			s.tracer.FlowStep(wname, "req", c.flow)
 		}
-		lc.StampServer(req.Handle, telemetry.ServerStamp{
-			Start: wstart, Reply: p.Now(), Copy: copyNs,
-		})
-		s.sendReply(p, conn, replyMR, req.Handle, st)
+		item.cont = c
+		if st := s.admit(item.conn, item.req); st != wire.StatusOK {
+			s.reply(p, item, replyMR, st)
+			return item, grantDone
+		}
 	}
+	if item.req.Type == wire.ReqWrite {
+		if !s.transfer(p, wname, replyMR, item, ib.OpRDMARead, "rdma-read") {
+			return item, grantDone
+		}
+		if c.done < n {
+			return item, grantMore
+		}
+		if !s.quantum {
+			s.reply(p, item, replyMR, s.stored(item, s.storeStage(p, wname, item)))
+			return item, grantDone
+		}
+		s.env.Go(s.name+"-storer", func(sp *sim.Proc) {
+			st := s.stored(item, s.storeStage(sp, s.name+"-store", item))
+			if !item.conn.qp.Closed() {
+				s.reply(sp, item, s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize)), st)
+			}
+			s.putCont(c)
+			s.tnRelease(item.conn)
+		})
+		return item, grantParked
+	}
+	if !c.ready {
+		if s.quantum {
+			s.env.Go(s.name+"-reader", func(sp *sim.Proc) {
+				c.fail = s.storeStage(sp, s.name+"-store", item) != nil
+				c.ready = true
+				s.work.Push(item.conn.tenantID, s.chunk(n, 0), sp.Now(), item)
+			})
+			return item, grantParked
+		}
+		c.fail = s.storeStage(p, wname, item) != nil
+	}
+	if c.fail {
+		s.reply(p, item, replyMR, wire.StatusServerError)
+		return item, grantDone
+	}
+	if !s.transfer(p, wname, replyMR, item, ib.OpRDMAWrite, "rdma-write") {
+		return item, grantDone
+	}
+	if c.done < n {
+		return item, grantMore
+	}
+	s.met.reads.Inc()
+	s.met.bytesServed.Add(int64(n))
+	if s.tn != nil {
+		s.tnTouchRead(item.conn, item.req)
+	}
+	s.reply(p, item, replyMR, wire.StatusOK)
+	return item, grantDone
+}
+
+// admit checks a request on its first grant and returns the status to
+// refuse it with (StatusOK admits it). Under tenancy over-quota write
+// growth is refused before any RDMA is issued; the client's recovery
+// path backs off and retries.
+func (s *Server) admit(conn *clientConn, req wire.Request) wire.Status {
 	n := int(req.Length)
 	if n <= 0 || n > s.cfg.StagingBytes ||
 		req.Offset+uint64(n) > uint64(conn.areaSize) {
 		s.met.badRequests.Inc()
-		reply(wire.StatusOutOfRange)
-		return
+		return wire.StatusOutOfRange
 	}
-	storeOff := conn.areaOff + int64(req.Offset)
 	switch req.Type {
 	case wire.ReqWrite:
-		// Quota admission: over-quota growth is refused before any RDMA
-		// is issued; the client's recovery path backs off and retries.
 		if s.tn != nil && !s.tnAdmitWrite(conn, req) {
-			reply(wire.StatusRetry)
-			return
+			return wire.StatusRetry
 		}
-		// Swap-out: pull the page data out of the client's pool.
-		span := s.tracer.Begin(wname, "rdma-read")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMARead,
-			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
-		if err != nil {
-			reply(wire.StatusServerError)
-			return
-		}
-		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": n})
-		if conn.qp.Closed() {
-			return
-		}
-		span = s.tracer.Begin(wname, "store-write")
-		copyStart := p.Now()
-		if err := s.store.WriteAt(p, staging.Buf[:n], storeOff); err != nil {
-			copyNs = p.Now().Sub(copyStart)
-			reply(wire.StatusServerError)
-			return
-		}
-		copyNs = p.Now().Sub(copyStart)
-		span.EndArgs(map[string]any{"bytes": n})
-		s.met.writes.Inc()
-		s.met.bytesStored.Add(int64(n))
-		if s.tn != nil {
-			s.tnMarkWrite(conn, req)
-		}
-		reply(wire.StatusOK)
-
 	case wire.ReqRead:
-		// Swap-in: push stored data into the client's pool.
-		span := s.tracer.Begin(wname, "store-read")
-		copyStart := p.Now()
-		if err := s.store.ReadAt(p, staging.Buf[:n], storeOff); err != nil {
-			copyNs = p.Now().Sub(copyStart)
-			reply(wire.StatusServerError)
-			return
-		}
-		copyNs = p.Now().Sub(copyStart)
-		span.EndArgs(map[string]any{"bytes": n})
-		span = s.tracer.Begin(wname, "rdma-write")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
-			ib.Segment{MR: staging, Off: 0, Len: n}, req.RKey, int(req.Addr), flow)
-		if err != nil {
-			reply(wire.StatusServerError)
-			return
-		}
-		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": n})
-		if conn.qp.Closed() {
-			return
-		}
-		s.met.reads.Inc()
-		s.met.bytesServed.Add(int64(n))
-		if s.tn != nil {
-			s.tnTouchRead(conn, req)
-		}
-		reply(wire.StatusOK)
-
 	default:
 		s.met.badRequests.Inc()
-		reply(wire.StatusBadRequest)
+		return wire.StatusBadRequest
 	}
+	return wire.StatusOK
+}
+
+// transfer moves the request's next chunk between its staging buffer and
+// the client's pool and reports whether service goes on. A failed post
+// replies with a server error; a connection closed under the transfer
+// ends the request without a reply.
+func (s *Server) transfer(p *sim.Proc, wname string, replyMR *ib.MR, item srvReq, op ib.Opcode, spanName string) bool {
+	c, req := item.cont, item.req
+	chunk := s.chunk(int(req.Length), c.done)
+	span := s.tracer.Begin(wname, spanName)
+	ev, err := s.postRDMA(p, item.conn, op,
+		ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
+	if err != nil {
+		s.reply(p, item, replyMR, wire.StatusServerError)
+		return false
+	}
+	ev.Wait(p)
+	args := map[string]any{"bytes": chunk}
+	if s.quantum {
+		args["done"] = c.done
+	}
+	span.EndArgs(args)
+	if item.conn.qp.Closed() {
+		return false
+	}
+	c.done += chunk
+	return true
+}
+
+// storeStage copies the request's payload between its staging buffer and
+// the RamDisk store on the given trace track, adding the time to the
+// request's memcpy share.
+func (s *Server) storeStage(p *sim.Proc, track string, item srvReq) error {
+	n := int(item.req.Length)
+	off := item.conn.areaOff + int64(item.req.Offset)
+	buf := item.cont.buf.Buf[:n]
+	write := item.req.Type == wire.ReqWrite
+	spanName := "store-read"
+	if write {
+		spanName = "store-write"
+	}
+	span := s.tracer.Begin(track, spanName)
+	start := p.Now()
+	var err error
+	if write {
+		err = s.store.WriteAt(p, buf, off)
+	} else {
+		err = s.store.ReadAt(p, buf, off)
+	}
+	item.cont.copyNs += p.Now().Sub(start)
+	span.EndArgs(map[string]any{"bytes": n})
+	return err
+}
+
+// stored accounts a write's finished store stage and returns its reply
+// status: a stored write is counted and, under tenancy, its pages marked
+// resident.
+func (s *Server) stored(item srvReq, err error) wire.Status {
+	if err != nil {
+		return wire.StatusServerError
+	}
+	s.met.writes.Inc()
+	s.met.bytesStored.Add(int64(item.req.Length))
+	if s.tn != nil {
+		s.tnMarkWrite(item.conn, item.req)
+	}
+	return wire.StatusOK
+}
+
+// reply stamps the server's share of the request's lifecycle and sends
+// its completion through replyMR. An active hang fault wedges the reply
+// (and its stamp) until the deadline; sleeping before the stamp keeps
+// the client's exact stage partition intact — the hang shows up as
+// server time, which is where it was actually spent.
+func (s *Server) reply(p *sim.Proc, item srvReq, replyMR *ib.MR, st wire.Status) {
+	if s.hangUntil > p.Now() {
+		p.Sleep(s.hangUntil.Sub(p.Now()))
+	}
+	c := item.cont
+	s.lifecycle().StampServer(item.req.Handle, telemetry.ServerStamp{
+		Start: c.wstart, Reply: p.Now(), Copy: c.copyNs,
+	})
+	s.sendReply(p, item.conn, replyMR, item.req.Handle, st)
 }

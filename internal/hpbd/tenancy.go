@@ -21,10 +21,13 @@ import (
 // window shrinks and its excess sends complete as RNR errors that its
 // client retries with backoff. Replying releases the request's credit,
 // and freed credits are granted to withheld slots in the bank's
-// deterministic priority order. Worker issue order comes from the
-// byte-weighted fair queue instead of the FIFO work channel, and
-// per-tenant resident bytes are tracked page-granular for the quota
-// admission check and cold-page reclaim.
+// deterministic priority order. The work queue registers one flow per
+// tenant, so worker issue order comes from the byte-weighted fair queue
+// (or FIFO under TenantFIFO), and per-tenant resident bytes are tracked
+// page-granular for the quota admission check and cold-page reclaim.
+// The credit bank, withheld slots and tenant series stay tenancy-only:
+// an untenanted server run as a one-tenant spec would register those
+// series and change its metrics output.
 
 // tenantPageBytes is the residency-accounting granule (one 4K page).
 const tenantPageBytes = 4096
@@ -51,42 +54,29 @@ type tenantMetrics struct {
 
 // srvTenancy is the server's tenancy state.
 type srvTenancy struct {
-	spec      *tenant.Spec
-	bank      *tenant.CreditBank
-	sched     *tenant.Sched[srvReq]
-	met       map[string]*tenantMetrics // keyed access only, never iterated
-	withheld  map[string][]recvSlot     // per-tenant FIFO of withheld slots
-	resident  map[string]int64          // per-tenant resident bytes on this server
-	bufs      []*ib.MR                  // per-request staging pool (quantum mode)
-	selfCheck bool
-	checkErr  error
+	spec     *tenant.Spec
+	bank     *tenant.CreditBank
+	met      map[string]*tenantMetrics // keyed access only, never iterated
+	withheld map[string][]recvSlot     // per-tenant FIFO of withheld slots
+	resident map[string]int64          // per-tenant resident bytes on this server
+	checkErr error
 }
 
-// tnInit builds the tenancy state for a validated spec. Flows, metrics
-// and accounting are registered in spec (ID) order.
+// tnInit builds the tenancy state for a validated spec and registers
+// each tenant's flow on the work queue. Flows, metrics and accounting
+// are registered in spec (ID) order.
 func (s *Server) tnInit() {
 	spec := s.cfg.Tenancy
 	tn := &srvTenancy{
-		spec:      spec,
-		bank:      tenant.NewCreditBank(spec),
-		sched:     tenant.NewSched[srvReq](s.env, s.cfg.TenantFIFO),
-		met:       make(map[string]*tenantMetrics, len(spec.Tenants)),
-		withheld:  make(map[string][]recvSlot, len(spec.Tenants)),
-		resident:  make(map[string]int64, len(spec.Tenants)),
-		selfCheck: s.cfg.TenantSelfCheck,
-	}
-	if !s.cfg.TenantFIFO {
-		// Quantum mode stages each in-service request in its own buffer
-		// (the data outlives any single scheduler grant). A request in
-		// service holds a credit, so the provisioned credit count bounds
-		// the pool; registering at setup mirrors the workers' staging.
-		for i := 0; i < spec.Provisioned(); i++ {
-			tn.bufs = append(tn.bufs, s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes)))
-		}
+		spec:     spec,
+		bank:     tenant.NewCreditBank(spec),
+		met:      make(map[string]*tenantMetrics, len(spec.Tenants)),
+		withheld: make(map[string][]recvSlot, len(spec.Tenants)),
+		resident: make(map[string]int64, len(spec.Tenants)),
 	}
 	for i := range spec.Tenants {
 		t := &spec.Tenants[i]
-		tn.sched.AddFlow(t.ID, t.Weight)
+		s.work.AddFlow(t.ID, t.Weight)
 		prefix := s.name + ".tenant." + t.ID + "."
 		tn.met[t.ID] = &tenantMetrics{
 			held:         s.tel.Gauge(prefix + "credits_held"),
@@ -101,16 +91,17 @@ func (s *Server) tnInit() {
 }
 
 // tnCheck runs the bank's conservation check (the creditbalance
-// analyzer's runtime twin) when self-checking is armed, latching the
-// first violation.
+// analyzer's runtime twin; read-only and O(tenants)), latching the first
+// violation.
 func (s *Server) tnCheck() {
-	if s.tn.selfCheck && s.tn.checkErr == nil {
+	if s.tn.checkErr == nil {
 		s.tn.checkErr = s.tn.bank.Check()
 	}
 }
 
 // TenancyCheck returns the first credit-conservation violation the
-// self-check observed (nil: invariant held at every tick so far).
+// check observed at a credit operation or scheduler tick (nil: the
+// invariant held at every one so far, or the server has no tenancy).
 func (s *Server) TenancyCheck() error {
 	if s.tn == nil {
 		return nil
@@ -271,243 +262,6 @@ func (s *Server) tnTouchRead(conn *clientConn, req wire.Request) {
 	}
 }
 
-// tnQuantum returns the fair queue's issue quantum in bytes. The 16 KB
-// default keeps a victim's residual wait under a neighbor's bulk chunk
-// near the small-request service time itself while holding per-chunk
-// posting overhead to a few percent of a 128 KB transfer.
-func (s *Server) tnQuantum() int {
-	q := s.cfg.TenantQuantum
-	if q <= 0 {
-		q = 16 * 1024
-	}
-	if q > s.cfg.StagingBytes {
-		q = s.cfg.StagingBytes
-	}
-	return q
-}
-
-// tnChunk is the next chunk's size for a request with done bytes moved.
-func (s *Server) tnChunk(n, done int) int {
-	chunk := n - done
-	if q := s.tnQuantum(); chunk > q {
-		chunk = q
-	}
-	return chunk
-}
-
-// tnDispatchBytes is the byte cost the receive loop charges when it
-// queues a fresh request. In quantum mode every grant that moves a chunk
-// over the wire is charged that chunk — so a flow's virtual time
-// advances by exactly its payload bytes — which makes the dispatch
-// charge the first chunk for writes (the first grant RDMA-reads it) and
-// zero for reads (the first grant only dispatches the store read; the
-// chunks charge themselves when the data is ready). FIFO charges the
-// whole request up front; there the cost only feeds the byte counters.
-func (s *Server) tnDispatchBytes(req wire.Request) int {
-	n := int(req.Length)
-	if s.cfg.TenantFIFO {
-		return n
-	}
-	if req.Type == wire.ReqRead {
-		return 0
-	}
-	return s.tnChunk(n, 0)
-}
-
-// tnGetBuf takes a staging buffer from the pool (registering a spare is
-// a defensive fallback; the pool is provisioned for the credit limit).
-func (s *Server) tnGetBuf() *ib.MR {
-	if n := len(s.tn.bufs); n > 0 {
-		b := s.tn.bufs[n-1]
-		s.tn.bufs = s.tn.bufs[:n-1]
-		return b
-	}
-	return s.hca.RegisterMRAtSetup(make([]byte, s.cfg.StagingBytes))
-}
-
-func (s *Server) tnPutBuf(b *ib.MR) { s.tn.bufs = append(s.tn.bufs, b) }
-
-// tnCont is the state a request carries across scheduler grants in
-// quantum mode: its staging buffer, how many payload bytes have moved,
-// the store stage's outcome, and the lifecycle bookkeeping serveOne
-// would have kept on its stack.
-type tnCont struct {
-	buf     *ib.MR
-	done    int
-	ready   bool // read: store read completed, chunks may stream
-	fail    bool // read: store read failed
-	wstart  sim.Time
-	copyNs  sim.Duration
-	flow    uint64
-	hasFlow bool
-}
-
-// tnGrant is a scheduler grant's outcome.
-type tnGrant int
-
-const (
-	tnDone   tnGrant = iota // request finished: the worker releases its credit
-	tnMore                  // partially transferred: re-queue the continuation
-	tnParked                // handed to a store proc, which re-queues or finishes it
-)
-
-// tnReply stamps and sends one reply (shared by the issue worker and the
-// store procs, which reply off the worker's critical path).
-func (s *Server) tnReply(p *sim.Proc, conn *clientConn, replyMR *ib.MR, req wire.Request, c *tnCont, st wire.Status) {
-	if s.hangUntil > p.Now() {
-		p.Sleep(s.hangUntil.Sub(p.Now()))
-	}
-	s.lifecycle().StampServer(req.Handle, telemetry.ServerStamp{
-		Start: c.wstart, Reply: p.Now(), Copy: c.copyNs,
-	})
-	s.sendReply(p, conn, replyMR, req.Handle, st)
-}
-
-// tnServeQuantum services one scheduler grant of item in quantum mode.
-// Validation and quota admission happen on the first grant; after that a
-// grant moves at most one quantum of payload over the wire, and the
-// store stage runs in a spawned proc off the issue worker entirely. Two
-// properties fall out, and both are load-bearing for isolation:
-//
-//   - a competing tenant's small request waits at most one quantum of
-//     wire time behind a neighbor's bulk transfer (the ingress link is
-//     reserved at post time, so queue-order-only fairness cannot bound
-//     this), and
-//   - the issue worker never sits in the store's per-op overhead, so
-//     that overhead — paid once per request, as in the monolithic path —
-//     never becomes the preemption granularity.
-//
-// A request in flight stages its payload in a pool buffer (tnGetBuf) so
-// nothing borrows the worker's staging across a preemption. Writes
-// RDMA-read chunk by chunk, then hand buffer, store write and reply to a
-// storer proc (tnParked). Reads dispatch the store read first (tnParked),
-// whose proc re-queues the request when the data is staged; the chunks
-// then RDMA-write per grant and the worker replies inline.
-func (s *Server) tnServeQuantum(p *sim.Proc, wname string, replyMR *ib.MR, item srvReq) (srvReq, tnGrant) {
-	conn, req := item.conn, item.req
-	n := int(req.Length)
-	c := item.cont
-	if c == nil {
-		c = &tnCont{wstart: p.Now()}
-		c.flow, c.hasFlow = s.lifecycle().TakeFlow(req.Handle)
-		if c.hasFlow {
-			s.tracer.FlowStep(wname, "req", c.flow)
-		}
-		item.cont = c
-		if n <= 0 || n > s.cfg.StagingBytes ||
-			req.Offset+uint64(n) > uint64(conn.areaSize) {
-			s.met.badRequests.Inc()
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusOutOfRange)
-			return item, tnDone
-		}
-		switch req.Type {
-		case wire.ReqWrite:
-			if !s.tnAdmitWrite(conn, req) {
-				s.tnReply(p, conn, replyMR, req, c, wire.StatusRetry)
-				return item, tnDone
-			}
-		case wire.ReqRead:
-		default:
-			s.met.badRequests.Inc()
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusBadRequest)
-			return item, tnDone
-		}
-		c.buf = s.tnGetBuf()
-	}
-	storeOff := conn.areaOff + int64(req.Offset)
-	switch req.Type {
-	case wire.ReqWrite:
-		chunk := s.tnChunk(n, c.done)
-		span := s.tracer.Begin(wname, "rdma-read")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMARead,
-			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
-		if err != nil {
-			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
-			return item, tnDone
-		}
-		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
-		if conn.qp.Closed() {
-			s.tnPutBuf(c.buf)
-			return item, tnDone
-		}
-		c.done += chunk
-		if c.done < n {
-			return item, tnMore
-		}
-		s.env.Go(s.name+"-storer", func(sp *sim.Proc) {
-			span := s.tracer.Begin(s.name+"-store", "store-write")
-			copyStart := sp.Now()
-			err := s.store.WriteAt(sp, c.buf.Buf[:n], storeOff)
-			c.copyNs += sp.Now().Sub(copyStart)
-			span.EndArgs(map[string]any{"bytes": n})
-			st := wire.StatusServerError
-			if err == nil {
-				st = wire.StatusOK
-				s.met.writes.Inc()
-				s.met.bytesStored.Add(int64(n))
-				s.tnMarkWrite(conn, req)
-			}
-			s.tnPutBuf(c.buf)
-			if !conn.qp.Closed() {
-				mr := s.hca.RegisterMRAtSetup(make([]byte, wire.ReplySize))
-				s.tnReply(sp, conn, mr, req, c, st)
-			}
-			s.tnRelease(conn)
-		})
-		return item, tnParked
-
-	case wire.ReqRead:
-		if !c.ready {
-			s.env.Go(s.name+"-reader", func(sp *sim.Proc) {
-				span := s.tracer.Begin(s.name+"-store", "store-read")
-				copyStart := sp.Now()
-				err := s.store.ReadAt(sp, c.buf.Buf[:n], storeOff)
-				c.copyNs += sp.Now().Sub(copyStart)
-				span.EndArgs(map[string]any{"bytes": n})
-				c.ready = true
-				c.fail = err != nil
-				s.tn.sched.Push(conn.tenantID, s.tnChunk(n, 0), sp.Now(), item)
-			})
-			return item, tnParked
-		}
-		if c.fail {
-			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
-			return item, tnDone
-		}
-		chunk := s.tnChunk(n, c.done)
-		span := s.tracer.Begin(wname, "rdma-write")
-		ev, err := s.postRDMA(p, conn, ib.OpRDMAWrite,
-			ib.Segment{MR: c.buf, Off: c.done, Len: chunk}, req.RKey, int(req.Addr)+c.done, c.flow)
-		if err != nil {
-			s.tnPutBuf(c.buf)
-			s.tnReply(p, conn, replyMR, req, c, wire.StatusServerError)
-			return item, tnDone
-		}
-		ev.Wait(p)
-		span.EndArgs(map[string]any{"bytes": chunk, "done": c.done})
-		if conn.qp.Closed() {
-			s.tnPutBuf(c.buf)
-			return item, tnDone
-		}
-		c.done += chunk
-		if c.done < n {
-			return item, tnMore
-		}
-		s.met.reads.Inc()
-		s.met.bytesServed.Add(int64(n))
-		s.tnTouchRead(conn, req)
-		s.tnPutBuf(c.buf)
-		s.tnReply(p, conn, replyMR, req, c, wire.StatusOK)
-		return item, tnDone
-	}
-	s.met.badRequests.Inc()
-	s.tnReply(p, conn, replyMR, req, c, wire.StatusBadRequest)
-	return item, tnDone
-}
-
 // ColdPage is one resident page with its last-touch time, the token the
 // client's reclaimer passes back to DiscardPage so a racing fresh write
 // is never discarded.
@@ -622,7 +376,7 @@ func (s *Server) TenantStats() []TenantStat {
 	if s.tn == nil {
 		return nil
 	}
-	flows := s.tn.sched.FlowStats()
+	flows := s.work.FlowStats()
 	out := make([]TenantStat, 0, len(flows))
 	for _, f := range flows {
 		t := s.tn.spec.Find(f.ID)

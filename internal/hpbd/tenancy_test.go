@@ -35,7 +35,6 @@ func newTenantBed(t *testing.T, specStr string, areaBytes int64, fifo bool) *ten
 	scfg := DefaultServerConfig(areaBytes * int64(len(spec.Tenants)))
 	scfg.Tenancy = spec
 	scfg.TenantFIFO = fifo
-	scfg.TenantSelfCheck = true
 	tb := &tenantBed{
 		env:    env,
 		srv:    NewServer(f, "mem0", scfg),
@@ -59,6 +58,19 @@ func newTenantBed(t *testing.T, specStr string, areaBytes int64, fifo bool) *ten
 	return tb
 }
 
+// forTenantIssue runs fn under both tenant issue modes: WFQ quantum issue
+// and FIFO whole-request issue share admission, marking and touching, so
+// the quota tests hold in each.
+func forTenantIssue(t *testing.T, fn func(t *testing.T, fifo bool)) {
+	for _, fifo := range []bool{false, true} {
+		name := "wfq"
+		if fifo {
+			name = "fifo"
+		}
+		t.Run(name, func(t *testing.T) { fn(t, fifo) })
+	}
+}
+
 func (tb *tenantBed) stat(t *testing.T, id string) TenantStat {
 	t.Helper()
 	for _, st := range tb.srv.TenantStats() {
@@ -76,127 +88,133 @@ func (tb *tenantBed) stat(t *testing.T, id string) TenantStat {
 // and every write must eventually land — with residency driven back
 // toward the quota rather than growing unbounded.
 func TestQuotaPushbackAndReclaim(t *testing.T) {
-	const quota = 512 << 10
-	tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, false)
-	const total = 2 * quota
-	const chunk = 64 << 10
-	tb.env.Go("writer", func(p *sim.Proc) {
-		for off := int64(0); off < total; off += chunk {
-			buf := pattern(chunk, byte(off>>16))
-			r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, buf)
-			tb.devs["a"].Submit(p, r)
-			if err := r.Wait(p); err != nil {
-				t.Errorf("write at %d: %v", off, err)
-				return
+	forTenantIssue(t, func(t *testing.T, fifo bool) {
+		const quota = 512 << 10
+		tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, fifo)
+		const total = 2 * quota
+		const chunk = 64 << 10
+		tb.env.Go("writer", func(p *sim.Proc) {
+			for off := int64(0); off < total; off += chunk {
+				buf := pattern(chunk, byte(off>>16))
+				r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, buf)
+				tb.devs["a"].Submit(p, r)
+				if err := r.Wait(p); err != nil {
+					t.Errorf("write at %d: %v", off, err)
+					return
+				}
 			}
+		})
+		tb.env.Run()
+		tb.env.Close()
+		st := tb.stat(t, "a")
+		if st.QuotaRetries == 0 {
+			t.Error("no quota pushback recorded while writing 2x the quota")
+		}
+		if st.Evictions == 0 {
+			t.Error("no evictions recorded: reclaim never demoted cold pages")
+		}
+		// Admission is optimistic (in-flight writes admitted before earlier
+		// ones mark residency), so allow one in-flight window of slack.
+		slack := int64(blockdev.MaxRequestBytes) + chunk
+		if st.Resident > quota+slack {
+			t.Errorf("resident %d exceeds quota %d by more than the admission window %d",
+				st.Resident, quota, slack)
+		}
+		if err := tb.srv.TenancyCheck(); err != nil {
+			t.Error(err)
 		}
 	})
-	tb.env.Run()
-	tb.env.Close()
-	st := tb.stat(t, "a")
-	if st.QuotaRetries == 0 {
-		t.Error("no quota pushback recorded while writing 2x the quota")
-	}
-	if st.Evictions == 0 {
-		t.Error("no evictions recorded: reclaim never demoted cold pages")
-	}
-	// Admission is optimistic (in-flight writes admitted before earlier
-	// ones mark residency), so allow one in-flight window of slack.
-	slack := int64(blockdev.MaxRequestBytes) + chunk
-	if st.Resident > quota+slack {
-		t.Errorf("resident %d exceeds quota %d by more than the admission window %d",
-			st.Resident, quota, slack)
-	}
-	if err := tb.srv.TenancyCheck(); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestQuotaEvictionPreservesData reads back every byte written past the
 // quota: pages demoted to the fallback disk must return the same data
 // as pages still resident on the server.
 func TestQuotaEvictionPreservesData(t *testing.T) {
-	const quota = 256 << 10
-	tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, false)
-	const total = 4 * quota
-	const chunk = 32 << 10
-	ok := false
-	tb.env.Go("rw", func(p *sim.Proc) {
-		for off := int64(0); off < total; off += chunk {
-			buf := pattern(chunk, byte(off/chunk))
-			r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, buf)
-			tb.devs["a"].Submit(p, r)
-			if err := r.Wait(p); err != nil {
-				t.Errorf("write at %d: %v", off, err)
-				return
+	forTenantIssue(t, func(t *testing.T, fifo bool) {
+		const quota = 256 << 10
+		tb := newTenantBed(t, fmt.Sprintf("pool=16,a:w1:q%d", quota), 4<<20, fifo)
+		const total = 4 * quota
+		const chunk = 32 << 10
+		ok := false
+		tb.env.Go("rw", func(p *sim.Proc) {
+			for off := int64(0); off < total; off += chunk {
+				buf := pattern(chunk, byte(off/chunk))
+				r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, buf)
+				tb.devs["a"].Submit(p, r)
+				if err := r.Wait(p); err != nil {
+					t.Errorf("write at %d: %v", off, err)
+					return
+				}
 			}
+			for off := int64(0); off < total; off += chunk {
+				buf := make([]byte, chunk)
+				r := blockdev.NewRequest(tb.env, false, off/blockdev.SectorSize, buf)
+				tb.devs["a"].Submit(p, r)
+				if err := r.Wait(p); err != nil {
+					t.Errorf("read at %d: %v", off, err)
+					return
+				}
+				if !bytes.Equal(buf, pattern(chunk, byte(off/chunk))) {
+					t.Errorf("chunk at %d corrupted through quota eviction", off)
+					return
+				}
+			}
+			ok = true
+		})
+		tb.env.Run()
+		tb.env.Close()
+		if !ok {
+			t.Fatal("round trip did not complete")
 		}
-		for off := int64(0); off < total; off += chunk {
-			buf := make([]byte, chunk)
-			r := blockdev.NewRequest(tb.env, false, off/blockdev.SectorSize, buf)
-			tb.devs["a"].Submit(p, r)
-			if err := r.Wait(p); err != nil {
-				t.Errorf("read at %d: %v", off, err)
-				return
-			}
-			if !bytes.Equal(buf, pattern(chunk, byte(off/chunk))) {
-				t.Errorf("chunk at %d corrupted through quota eviction", off)
-				return
-			}
+		st := tb.stat(t, "a")
+		if st.Evictions == 0 {
+			t.Error("4x-quota working set produced no evictions: the read-back never touched the fallback path")
 		}
-		ok = true
+		if err := tb.srv.TenancyCheck(); err != nil {
+			t.Error(err)
+		}
 	})
-	tb.env.Run()
-	tb.env.Close()
-	if !ok {
-		t.Fatal("round trip did not complete")
-	}
-	st := tb.stat(t, "a")
-	if st.Evictions == 0 {
-		t.Error("4x-quota working set produced no evictions: the read-back never touched the fallback path")
-	}
-	if err := tb.srv.TenancyCheck(); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestUnquotedTenantUnaffected runs a quota'd tenant to exhaustion next
 // to an unlimited one: the neighbor's writes must see no pushback.
 func TestUnquotedTenantUnaffected(t *testing.T) {
-	tb := newTenantBed(t, "pool=16,a:w1:q256K,b:w1", 4<<20, false)
-	const chunk = 64 << 10
-	write := func(p *sim.Proc, id string, off int64) error {
-		r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, pattern(chunk, 1))
-		tb.devs[id].Submit(p, r)
-		return r.Wait(p)
-	}
-	tb.env.Go("a", func(p *sim.Proc) {
-		for off := int64(0); off < 1<<20; off += chunk {
-			if err := write(p, "a", off); err != nil {
-				t.Errorf("a: %v", err)
-				return
+	forTenantIssue(t, func(t *testing.T, fifo bool) {
+		tb := newTenantBed(t, "pool=16,a:w1:q256K,b:w1", 4<<20, fifo)
+		const chunk = 64 << 10
+		write := func(p *sim.Proc, id string, off int64) error {
+			r := blockdev.NewRequest(tb.env, true, off/blockdev.SectorSize, pattern(chunk, 1))
+			tb.devs[id].Submit(p, r)
+			return r.Wait(p)
+		}
+		tb.env.Go("a", func(p *sim.Proc) {
+			for off := int64(0); off < 1<<20; off += chunk {
+				if err := write(p, "a", off); err != nil {
+					t.Errorf("a: %v", err)
+					return
+				}
 			}
+		})
+		tb.env.Go("b", func(p *sim.Proc) {
+			for off := int64(0); off < 1<<20; off += chunk {
+				if err := write(p, "b", off); err != nil {
+					t.Errorf("b: %v", err)
+					return
+				}
+			}
+		})
+		tb.env.Run()
+		tb.env.Close()
+		if st := tb.stat(t, "b"); st.QuotaRetries != 0 || st.Evictions != 0 {
+			t.Errorf("unlimited tenant saw pushback: %d retries, %d evictions", st.QuotaRetries, st.Evictions)
+		}
+		if st := tb.stat(t, "a"); st.QuotaRetries == 0 {
+			t.Error("quota'd tenant saw no pushback at 4x its quota")
+		}
+		if err := tb.srv.TenancyCheck(); err != nil {
+			t.Error(err)
 		}
 	})
-	tb.env.Go("b", func(p *sim.Proc) {
-		for off := int64(0); off < 1<<20; off += chunk {
-			if err := write(p, "b", off); err != nil {
-				t.Errorf("b: %v", err)
-				return
-			}
-		}
-	})
-	tb.env.Run()
-	tb.env.Close()
-	if st := tb.stat(t, "b"); st.QuotaRetries != 0 || st.Evictions != 0 {
-		t.Errorf("unlimited tenant saw pushback: %d retries, %d evictions", st.QuotaRetries, st.Evictions)
-	}
-	if st := tb.stat(t, "a"); st.QuotaRetries == 0 {
-		t.Error("quota'd tenant saw no pushback at 4x its quota")
-	}
-	if err := tb.srv.TenancyCheck(); err != nil {
-		t.Error(err)
-	}
 }
 
 // TestTenancyOffIdentical ensures the tenancy hooks are inert without a

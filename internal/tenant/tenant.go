@@ -13,8 +13,9 @@
 //     window into per-tenant reservations plus a weighted borrowable
 //     common pool, so a greedy tenant stalls on its own window and
 //     never on a victim's;
-//   - a Sched (wfq.go), the deterministic byte-weighted fair queue
-//     that replaces FIFO issue of server work when tenancy is on.
+//   - a Sched (wfq.go), the server's work queue: the deterministic
+//     byte-weighted fair queue under tenancy, and in its FIFO mode the
+//     queue of every other server (untenanted and the FIFO control).
 //
 // The package depends only on internal/sim so the hpbd client and
 // server can both import it.

@@ -2,9 +2,9 @@ package tenant
 
 import "hpbd/internal/sim"
 
-// Sched is the deterministic weighted fair queue the server feeds its
-// workers from when tenancy is on. It implements start-time fair
-// queueing with byte-weighted virtual finish times: a push is tagged
+// Sched is the server's work queue. In fair mode — a tenancy server's
+// quantum issue — it is a deterministic weighted fair queue: start-time
+// fair queueing with byte-weighted virtual finish times. A push is tagged
 //
 //	start  = max(vtime, flow.lastFinish)
 //	finish = start + bytes*costScale/weight
@@ -16,10 +16,12 @@ import "hpbd/internal/sim"
 // requests pay, and a tenant's share of issue bandwidth converges to
 // its weight share — the property the isolation suite asserts.
 //
-// A FIFO mode (the isolation experiments' control) keeps the identical
-// plumbing — including the sched-wait measurement — but orders strictly
-// by sequence. All state is integer arithmetic; no clock, no
-// randomness, no map iteration.
+// A FIFO mode keeps the identical plumbing — including the sched-wait
+// measurement — but orders strictly by sequence. It is the isolation
+// experiments' control arm and the untenanted server's queue: Push never
+// blocks and Pop wakes one parked worker per item in arrival order, as
+// an unbounded sim.Chan would. All state is integer arithmetic; no
+// clock, no randomness, no map iteration.
 type Sched[T any] struct {
 	wq     *sim.WaitQueue
 	fifo   bool
@@ -56,7 +58,7 @@ type schedFlow struct {
 	bytes      int64 // issued bytes
 }
 
-// NewSched creates a scheduler; fifo selects the control mode.
+// NewSched creates a scheduler; fifo selects strict arrival order.
 func NewSched[T any](env *sim.Env, fifo bool) *Sched[T] {
 	return &Sched[T]{
 		wq:    sim.NewWaitQueue(env),
